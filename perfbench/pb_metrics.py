@@ -16,7 +16,7 @@ import statistics
 END_TO_END = (
     ("setup_s", "s", "lower", 0.25),
     ("latency_p50_ms", "ms", "lower", 0.25),
-    ("latency_p90_ms", "ms", "lower", 0.25),
+    ("latency_p80_ms", "ms", "lower", 0.25),
     ("first_row_p50_ms", "ms", "lower", 0.25),
     ("ops_per_s", "1/s", "higher", 0.25),
     ("rows_per_s", "1/s", "higher", 0.25),
@@ -43,7 +43,6 @@ PER_LAYER = (
     ("query.plan_ms", "ms", "lower"),
     ("distributed.route_ms", "ms", "lower"),
     ("distributed.servers_touched_per_op", "count", "lower"),
-    ("net.connect_ms", "ms", "lower"),
     ("net.hello_ms", "ms", "lower"),
     ("net.connections_per_op", "count", "lower"),
     ("net.round_trips_per_op", "count", "lower"),
@@ -59,7 +58,6 @@ PER_LAYER = (
     ("obs.assemble_ms", "ms", "lower"),
     ("catalog.generate_s", "s", "lower"),
     ("storage.load_s", "s", "lower"),
-    ("service.start_s", "s", "lower"),
     ("bench.trace_overhead_frac", "ratio", "lower"),
 )
 
@@ -67,8 +65,8 @@ PER_LAYER = (
 PREDICTIONS = {
     "machines.sweep_step_ms": (("latency_p50_ms",), ("cone_search",)),
     "machines.sweep_useful_ratio": (("latency_p50_ms",), ("cone_search",)),
-    "machines.sharing_factor": (("latency_p90_ms",), ("sweep_scan",)),
-    "machines.queue_wait_ms": (("latency_p90_ms",), ("sweep_scan",)),
+    "machines.sharing_factor": (("latency_p80_ms",), ("sweep_scan",)),
+    "machines.queue_wait_ms": (("latency_p80_ms",), ("sweep_scan",)),
     "storage.fetch_ms": (("ops_per_s", "rows_per_s"), ("sweep_scan",)),
     "storage.pool_hit_rate": (("ops_per_s", "rows_per_s"), ("sweep_scan",)),
     "storage.evictions_per_op": (("ops_per_s", "rows_per_s"), ("sweep_scan",)),
@@ -82,7 +80,6 @@ PREDICTIONS = {
     "query.plan_ms": (("latency_p50_ms",), ("cone_search",)),
     "distributed.route_ms": (("latency_p50_ms",), ("cone_search",)),
     "distributed.servers_touched_per_op": (("latency_p50_ms",), ("cone_search",)),
-    "net.connect_ms": (("latency_p50_ms",), ("remote_mixed",)),
     "net.hello_ms": (("latency_p50_ms",), ("remote_mixed",)),
     "net.connections_per_op": (("latency_p50_ms",), ("remote_mixed",)),
     "net.round_trips_per_op": (("latency_p50_ms",), ("remote_mixed",)),
@@ -92,7 +89,7 @@ PREDICTIONS = {
     "service.cache_hit_rate": (("latency_p50_ms",), ("remote_mixed",)),
     "service.cache_ms": (("latency_p50_ms",), ("remote_mixed",)),
     "service.mydb_save_ms": (("service.write_p50_ms",), ("remote_mixed",)),
-    "service.write_p50_ms": (("latency_p90_ms",), ("remote_mixed",)),
+    "service.write_p50_ms": (("latency_p80_ms",), ("remote_mixed",)),
     "session.submit_ms": (
         ("latency_p50_ms",), ("sweep_scan", "cone_search", "remote_mixed")
     ),
@@ -104,12 +101,17 @@ PREDICTIONS = {
     ),
     "catalog.generate_s": (("setup_s",), ("sweep_scan", "cone_search", "remote_mixed")),
     "storage.load_s": (("setup_s",), ("sweep_scan", "cone_search", "remote_mixed")),
-    "service.start_s": (("setup_s",), ("remote_mixed",)),
     "bench.trace_overhead_frac": ((), ()),
 }
 
 #: a tail percentile is valid only with this many samples beyond it
 MIN_BEYOND = 10
+#: the reported tail.  p90 would need 100 operations a run; remote_mixed
+#: completes about 65 in the window and sweep_scan about 70, so p80
+#: (valid from 50) is the highest tail valid on every workload.  It also
+#: lies inside remote_mixed's slow mode (the 30% result-shipping ops),
+#: where p75 sat on the edge between the modes and spread widely.
+TAIL = 0.8
 
 
 def nearest_rank(values, q):

@@ -162,6 +162,7 @@ TARGETS = (
     ("repro.query.optimizer", "plan_query", "query.plan", None),
     ("repro.query.optimizer", "split_plan", "distributed.route", None),
     ("repro.distributed.routing", "route_plan", "distributed.route", None),
+    # Counted, not reported as time: net.connections_per_op.
     ("repro.net.client", "open_connection", "net.connect", None),
     ("repro.net.client", "authenticate_connection", "net.hello", None),
     ("repro.net.protocol", "table_to_wire", "net.encode", _count_encoded_bytes),

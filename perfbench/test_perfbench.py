@@ -34,6 +34,11 @@ def test_p90_needs_ten_samples_beyond_it():
     assert (beyond, valid) == (9, False)
     _value, beyond, valid = pb_metrics.tail_percentile(list(range(40)), 0.9)
     assert (beyond, valid) == (4, False)
+    # The reported tail is valid from a 50-operation run.
+    value, beyond, valid = pb_metrics.tail_percentile(list(range(50)), pb_metrics.TAIL)
+    assert (value, beyond, valid) == (39, 10, True)
+    _value, beyond, valid = pb_metrics.tail_percentile(list(range(49)), pb_metrics.TAIL)
+    assert (beyond, valid) == (9, False)
 
 
 # -- self time ------------------------------------------------------------
@@ -139,14 +144,20 @@ def test_instrumentation_restores_methods_and_static_methods():
 # -- the job trace ---------------------------------------------------------
 
 
+def small_photo():
+    from repro import SkySimulator, SurveyParameters
+
+    return SkySimulator(
+        SurveyParameters(n_galaxies=1500, n_stars=800, n_quasars=50, seed=5)
+    ).generate()
+
+
 def test_phase_breakdown_counts_the_grafted_server_query_once():
-    from repro import Archive, ContainerStore, SkySimulator, SurveyParameters
+    from repro import Archive, ContainerStore
     from repro.catalog import make_tag_table
     from repro.net import ArchiveServer
 
-    photo = SkySimulator(
-        SurveyParameters(n_galaxies=1500, n_stars=800, n_quasars=50, seed=5)
-    ).generate()
+    photo = small_photo()
     server = ArchiveServer(stores={
         "photo": ContainerStore.from_table(photo, 4),
         "tag": ContainerStore.from_table(make_tag_table(photo), 4),
@@ -173,6 +184,76 @@ def test_phase_breakdown_counts_the_grafted_server_query_once():
     )
     assert by_name > sum(phases.values())
     assert sum(phases.values()) <= root.duration() + 1e-6
+
+
+# -- the workloads -----------------------------------------------------------
+
+
+def test_sweep_scan_shapes_are_batch_jobs_through_the_photo_pool():
+    import numpy as np
+
+    from repro import Archive, ContainerStore
+    from repro.catalog import make_tag_table
+    from repro.storage import BufferPool
+
+    import run
+    from pb_workloads import SweepScan
+
+    photo = small_photo()
+    pool = BufferPool(photo.nbytes() // 2)
+    stores = {
+        "photo": ContainerStore.from_table(photo, 4, buffer_pool=pool),
+        "tag": ContainerStore.from_table(make_tag_table(photo), 4),
+    }
+    workload = SweepScan()
+    check = workload.checker(photo.data)
+    rng = np.random.default_rng(1)
+    with Archive.connect(stores=stores) as session:
+        for kind in workload.shapes:
+            op = workload.op(kind, rng)
+            op.submit = workload.submit
+            reads = pool.stats.hits + pool.stats.misses
+            seen = {}
+            outcome = run.execute(
+                session, op, workload.digest,
+                observe=lambda job, _o: seen.update(phases=phase_breakdown(job.trace())),
+            )
+            assert outcome.error is None, outcome.error
+            assert check(op, outcome.digest, {}), op.sql
+            # Every shape sweeps photo (no tag route) as a queued batch job.
+            assert pool.stats.hits + pool.stats.misses > reads, op.sql
+            assert seen["phases"]["queue"] > 0.0
+
+
+def test_execute_does_not_concatenate_the_result():
+    from repro.catalog.table import ObjectTable
+
+    import run
+    from pb_workloads import Op, _ids
+
+    photo = small_photo()
+    batches = list(photo.iter_chunks(700))
+
+    class Job:
+        cursor = batches
+
+    class Session:
+        def submit(self, text, **kwargs):
+            return Job()
+
+    original = ObjectTable.__dict__["concat_all"]
+
+    def refuse(tables):
+        raise AssertionError("the benchmark concatenated a result")
+
+    ObjectTable.concat_all = staticmethod(refuse)
+    try:
+        outcome = run.execute(Session(), Op("scan", "SELECT"), lambda op, b: _ids(b))
+    finally:
+        ObjectTable.concat_all = original
+    assert outcome.error is None, outcome.error
+    assert outcome.rows == len(photo)
+    assert list(outcome.digest) == list(photo["objid"])
 
 
 # -- the oracle comparisons -------------------------------------------------
