@@ -82,18 +82,26 @@ def _query_stats(cursor, table):
     }
 
 
+#: the client phases of one job, direct children of its root ``query`` span
+PHASES = ("parse", "plan", "queue", "execute")
+
+
 def _phase_breakdown(cursor):
     """Trace-derived milliseconds per phase: where did this query's wall
-    time go?  Client phases (parse/plan/queue/execute) by span name,
-    every ``wire:*`` round-trip folded into one ``wire`` bucket; QET
-    node and grafted server spans overlap the execute window and are
-    deliberately excluded from the sum."""
+    time go?  Client phases (parse/plan/queue/execute) are the direct
+    children of the trace's root ``query`` span; every ``wire:*``
+    round-trip is folded into one ``wire`` bucket.  A remote trace also
+    grafts the server's own ``query`` span, with its own phases, under
+    the client's; those, like the QET node spans, overlap the client's
+    execute window and are left out of the sum."""
+    trace = cursor.trace()
+    (root,) = [span for span in trace.roots() if span.name == "query"]
     totals = {}
-    for span in cursor.trace().spans:
+    for span in trace.spans:
         duration = span.duration()
         if duration is None:
             continue
-        if span.name in ("parse", "plan", "queue", "execute"):
+        if span.parent_id == root.span_id and span.name in PHASES:
             key = span.name
         elif span.name.startswith("wire:"):
             key = "wire"
@@ -122,10 +130,9 @@ def _bench_session(session):
     return queries
 
 
-#: Batch-size sweep: how the morsel target trades per-container overhead
-#: against time-to-first-row.  0 = per-container evaluation (the
-#: pre-morsel execution model, kept as the comparison baseline).
-SWEEP_BATCH_ROWS = (0, 4096, 65536)
+#: Batch-size sweep: how the morsel target trades per-morsel overhead
+#: against time-to-first-row.
+SWEEP_BATCH_ROWS = (4096, 65536)
 SWEEP_QUERIES = ("full_scan_stream", "grouped_aggregate", "order_limit_topk")
 
 
@@ -142,7 +149,7 @@ def _bench_batch_size_sweep(photo, tags):
         warmup.query_table(corpus["full_scan_stream"])
     sweep = {}
     for batch_rows in SWEEP_BATCH_ROWS:
-        label = "per_container" if batch_rows <= 0 else str(batch_rows)
+        label = str(batch_rows)
         with Archive.connect(stores=stores, batch_rows=batch_rows) as session:
             entries = {}
             for name in SWEEP_QUERIES:

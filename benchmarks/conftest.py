@@ -13,6 +13,7 @@ import pytest
 from repro.catalog import SkySimulator, SurveyParameters, make_tag_table
 from repro.htm.depthmap import DensityMap
 from repro.query import QueryEngine
+from repro.session import Archive
 from repro.storage import ContainerStore
 
 
@@ -55,6 +56,13 @@ def bench_tag_store(bench_tags):
 @pytest.fixture(scope="session")
 def bench_engine(bench_photo_store, bench_tag_store):
     return QueryEngine({"photo": bench_photo_store, "tag": bench_tag_store})
+
+
+@pytest.fixture(scope="session")
+def bench_session(bench_engine):
+    """Session over the medium-catalog engine: how benches run queries."""
+    with Archive.connect(bench_engine) as session:
+        yield session
 
 
 @pytest.fixture(scope="session")

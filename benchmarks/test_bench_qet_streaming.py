@@ -18,12 +18,12 @@ import pytest
 from conftest import print_table
 
 
-def run_and_time(engine, query):
-    result = engine.execute(query)
+def run_and_time(session, query):
+    job = session.submit(query)
     rows = 0
-    for batch in result:
+    for batch in job.cursor:
         rows += len(batch)
-    return result.time_to_first_row, result.time_to_completion, rows
+    return job.time_to_first_row, job.time_to_completion, rows
 
 
 @contextmanager
@@ -47,9 +47,9 @@ def paced(engine):
             sweeper.throttle = throttle
 
 
-def test_bench_asap_push(benchmark, bench_engine):
+def test_bench_asap_push(benchmark, bench_engine, bench_session):
     benchmark.pedantic(
-        run_and_time, args=(bench_engine, "SELECT objid FROM photo"),
+        run_and_time, args=(bench_session, "SELECT objid FROM photo"),
         rounds=2, iterations=1,
     )
     rows = []
@@ -65,7 +65,7 @@ def test_bench_asap_push(benchmark, bench_engine):
     ]
     measured = {}
     for name, query in cases:
-        ttfr, ttc, n_rows = run_and_time(bench_engine, query)
+        ttfr, ttc, n_rows = run_and_time(bench_session, query)
         measured[name] = (ttfr, ttc)
         rows.append(
             (name, f"{(ttfr or 0) * 1e3:.1f} ms", f"{ttc * 1e3:.1f} ms",
@@ -82,7 +82,7 @@ def test_bench_asap_push(benchmark, bench_engine):
     # almost entirely pending.
     with paced(bench_engine):
         sweep_ttfr, sweep_ttc, _rows = run_and_time(
-            bench_engine, "SELECT objid FROM photo"
+            bench_session, "SELECT objid FROM photo"
         )
     print(
         f"paced sweep: first row {sweep_ttfr * 1e3:.1f} ms of "
@@ -94,16 +94,16 @@ def test_bench_asap_push(benchmark, bench_engine):
     assert sort_ttfr > 0.5 * sort_ttc
 
 
-def test_bench_limit_cancels_early(benchmark, bench_engine):
+def test_bench_limit_cancels_early(benchmark, bench_engine, bench_session):
     # A LIMIT near the root should finish long before a full drain would.
     def run_limited():
-        handle = bench_engine.execute("SELECT objid FROM photo LIMIT 50")
-        return handle, sum(len(b) for b in handle)
+        job = bench_session.submit("SELECT objid FROM photo LIMIT 50")
+        return job, sum(len(b) for b in job.cursor)
 
     limited, n = benchmark.pedantic(run_limited, rounds=2, iterations=1)
     assert n == 50
-    full = bench_engine.execute("SELECT objid FROM photo")
-    total = sum(len(b) for b in full)
+    full = bench_session.submit("SELECT objid FROM photo")
+    total = sum(len(b) for b in full.cursor)
     print(f"\nLIMIT 50: {limited.time_to_completion * 1e3:.1f} ms vs full "
           f"{total}-row drain {full.time_to_completion * 1e3:.1f} ms")
 
@@ -111,16 +111,16 @@ def test_bench_limit_cancels_early(benchmark, bench_engine):
     # whole lap fits inside scheduling noise.  Paced, LIMIT 50 ends at
     # the first ramp morsel: a small fraction of the lap.
     with paced(bench_engine):
-        paced_limited = bench_engine.execute("SELECT objid FROM photo LIMIT 50")
-        assert sum(len(b) for b in paced_limited) == 50
-        paced_full = bench_engine.execute("SELECT objid FROM photo")
-        sum(len(b) for b in paced_full)
+        paced_limited = bench_session.submit("SELECT objid FROM photo LIMIT 50")
+        assert sum(len(b) for b in paced_limited.cursor) == 50
+        paced_full = bench_session.submit("SELECT objid FROM photo")
+        sum(len(b) for b in paced_full.cursor)
     print(f"paced: LIMIT 50 {paced_limited.time_to_completion * 1e3:.1f} ms "
           f"vs full drain {paced_full.time_to_completion * 1e3:.1f} ms")
     assert paced_limited.time_to_completion < 0.5 * paced_full.time_to_completion
 
 
-def test_bench_intersect_waits_for_right_child(benchmark, bench_engine):
+def test_bench_intersect_waits_for_right_child(benchmark, bench_session):
     # "at least one of the child nodes must be complete before results
     # can be sent further up the tree."
     query = (
@@ -128,7 +128,7 @@ def test_bench_intersect_waits_for_right_child(benchmark, bench_engine):
         "(SELECT objid FROM photo WHERE objtype = GALAXY)"
     )
     ttfr, ttc, _rows = benchmark.pedantic(
-        run_and_time, args=(bench_engine, query), rounds=2, iterations=1
+        run_and_time, args=(bench_session, query), rounds=2, iterations=1
     )
     print(f"\nintersect: first row {ttfr * 1e3:.1f} ms of {ttc * 1e3:.1f} ms total")
     # First output can only appear after the right child drained, but the
@@ -136,10 +136,10 @@ def test_bench_intersect_waits_for_right_child(benchmark, bench_engine):
     assert ttfr is not None
 
 
-def test_bench_engine_throughput(benchmark, bench_engine, bench_photo):
+def test_bench_engine_throughput(benchmark, bench_session, bench_photo):
     def drain():
-        result = bench_engine.execute("SELECT objid FROM photo WHERE mag_r < 99")
-        return sum(len(b) for b in result)
+        cursor = bench_session.execute("SELECT objid FROM photo WHERE mag_r < 99")
+        return sum(len(b) for b in cursor)
 
     total = benchmark.pedantic(drain, rounds=3, iterations=1)
     assert total == len(bench_photo)

@@ -17,6 +17,8 @@ import pytest
 from conftest import print_table
 from repro.catalog.schema import PHOTO_SCHEMA, TAG_SCHEMA
 from repro.catalog.tags import tag_size_ratio
+from repro.query.optimizer import plan_query
+from repro.query.parser import parse_query
 from repro.storage.diskmodel import PAPER_CLUSTER
 
 QUERY = (
@@ -48,19 +50,19 @@ def test_bench_tag_byte_ratio(benchmark, bench_photo, bench_tags):
 
 
 @pytest.mark.slow
-def test_bench_tag_query_wall_clock(benchmark, bench_engine):
+def test_bench_tag_query_wall_clock(benchmark, bench_engine, bench_session):
     # Warm both paths once, then measure.
-    tag_result = bench_engine.query_table(QUERY, allow_tag_route=True)
-    full_result = bench_engine.query_table(QUERY, allow_tag_route=False)
+    tag_result = bench_session.query_table(QUERY, allow_tag_route=True)
+    full_result = bench_session.query_table(QUERY, allow_tag_route=False)
     tag_ids = set() if tag_result is None else set(np.asarray(tag_result["objid"]).tolist())
     full_ids = set() if full_result is None else set(np.asarray(full_result["objid"]).tolist())
     assert tag_ids == full_ids  # identical answers on both routes
 
     def run_tag():
-        return bench_engine.query_table(QUERY, allow_tag_route=True)
+        return bench_session.query_table(QUERY, allow_tag_route=True)
 
     def run_full():
-        return bench_engine.query_table(QUERY, allow_tag_route=False)
+        return bench_session.query_table(QUERY, allow_tag_route=False)
 
     start = time.perf_counter()
     for _ in range(3):
@@ -77,5 +79,4 @@ def test_bench_tag_query_wall_clock(benchmark, bench_engine):
     # clearly.  (On the paper's disk-bound servers the byte ratio governs.)
     assert speedup > 1.5
 
-    plans = bench_engine.explain(QUERY)
-    assert plans[0].used_tag_route
+    assert plan_query(parse_query(QUERY), bench_engine.schemas).used_tag_route

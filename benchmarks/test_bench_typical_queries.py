@@ -21,13 +21,13 @@ from repro.science.lenses import find_lens_candidates
 from repro.science.neighbors import quasars_with_faint_blue_neighbors
 
 
-def test_bench_finding_chart(benchmark, bench_photo, bench_engine):
+def test_bench_finding_chart(benchmark, bench_photo, bench_session):
     # A cone query through the engine feeds the chart service.
     target_ra = float(bench_photo["ra"][0])
     target_dec = float(bench_photo["dec"][0])
 
     def serve_chart():
-        result = bench_engine.query_table(
+        result = bench_session.query_table(
             f"SELECT * FROM photo WHERE "
             f"CIRCLE({target_ra:.6f}, {target_dec:.6f}, 0.5) AND mag_r < 22.5"
         )

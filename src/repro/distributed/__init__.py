@@ -9,25 +9,21 @@ shard QETs -> coordinator merge stream.  See
 
 from repro.distributed.engine import (
     DistributedQueryEngine,
-    DistributedQueryResult,
     build_merge_tree,
     build_shard_tree,
 )
 from repro.distributed.routing import (
     ShardFanoutReport,
-    admit_scan_jobs,
     assign_sweep_servers,
     route_plan,
 )
 
 __all__ = [
     "DistributedQueryEngine",
-    "DistributedQueryResult",
     "ProcessShardCluster",
     "build_shard_tree",
     "build_merge_tree",
     "ShardFanoutReport",
-    "admit_scan_jobs",
     "assign_sweep_servers",
     "route_plan",
 ]

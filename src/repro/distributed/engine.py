@@ -14,17 +14,18 @@ the paper's multi-threaded QET locally; the coordinator's merge nodes
 ASAP-push contract — the user sees the first batch while the slowest
 shard is still scanning.
 
-Nothing about the server set is cached between queries: each ``execute``
+:class:`DistributedQueryEngine` is the scatter-gather executor behind
+:class:`~repro.session.Session`: run queries through
+``Archive.connect(archive=...)`` or ``Archive.connect(engine)``.
+Nothing about the server set is cached between queries: each ``prepare``
 reads the archive's current partition map and container placement, so
 execution stays correct across ``add_servers`` repartitioning.
 """
 
 from __future__ import annotations
 
-from repro.distributed.routing import admit_scan_jobs, route_plan
-from repro.query.ast_nodes import Select, SetOp
-from repro.query.engine import QueryResult, start_tree
-from repro.query.errors import PlanError
+from repro.distributed.routing import route_plan
+from repro.query.engine import PreparedQuery, build_query_tree
 from repro.query.optimizer import (
     fused_top_k,
     output_schema_for,
@@ -32,25 +33,21 @@ from repro.query.optimizer import (
     shard_candidates,
     split_plan,
 )
-from repro.query.parser import parse_query
+from repro.query.parser import extract_into, parse_query
 from repro.query.qet import (
     AggregateNode,
-    DifferenceNode,
     ExchangeNode,
     FilterNode,
-    IntersectNode,
     LimitNode,
     MergeSortNode,
     ProjectNode,
     ScanNode,
     SortNode,
     TopKNode,
-    UnionNode,
 )
 
 __all__ = [
     "DistributedQueryEngine",
-    "DistributedQueryResult",
     "build_shard_tree",
     "build_merge_tree",
 ]
@@ -68,9 +65,9 @@ def build_shard_tree(
     """One server's sub-QET: the pushed-down shard half of a split plan.
 
     Shared by the in-process engine (scan trees built directly over each
-    touched :class:`~repro.storage.cluster.ServerNode` store) and the
-    network layer's :class:`~repro.net.server.ShardExecutor` (the same
-    tree built server-side for a ``mode="shard"`` submission).
+    touched :class:`~repro.storage.cluster.ServerNode` store) and a
+    hosted :class:`~repro.query.engine.QueryEngine` (the same tree built
+    server-side for a ``mode="shard"`` submission).
     ``workers`` applies morsel parallelism *within* the shard — on a
     process-backed shard each server multiplies cores this way.
 
@@ -168,36 +165,12 @@ def build_merge_tree(shard_roots, sharded, batch_rows=4096):
     return node
 
 
-class DistributedQueryResult(QueryResult):
-    """Streaming result of a scatter-gather query.
-
-    Behaves exactly like :class:`~repro.query.engine.QueryResult`, plus
-    ``reports`` — one :class:`ShardFanoutReport` per SELECT in the query
-    (set operations contribute one per side).  Empty results materialize
-    as an empty, correctly-schemed table rather than ``None`` whenever
-    the output schema is statically known (e.g. every shard pruned).
-    """
-
-    def __init__(self, root, started_at, reports, empty_schema=None):
-        super().__init__(root, started_at, empty_schema=empty_schema)
-        self.reports = list(reports)
-
-    @property
-    def report(self):
-        """The sole fan-out report of a single-SELECT query."""
-        if len(self.reports) != 1:
-            raise ValueError(
-                f"query has {len(self.reports)} SELECTs; use .reports"
-            )
-        return self.reports[0]
-
-
 class DistributedQueryEngine:
-    """Query façade over a :class:`~repro.storage.cluster.DistributedArchive`.
+    """Scatter-gather executor over a
+    :class:`~repro.storage.cluster.DistributedArchive`.
 
-    Same surface as the single-store engine — ``execute`` /
-    ``query_table`` / ``explain`` on the same query language, with tag
-    routing and cost estimation — but each SELECT fans out to the
+    The same query language as the single-store engine, with tag
+    routing and cost estimation, but each SELECT fans out to the
     partition servers: shard sub-QETs run in parallel against each
     touched server's container stores and a coordinator merge tree
     recombines the streams (union, ordered k-way merge, or partial
@@ -211,12 +184,6 @@ class DistributedQueryEngine:
         must have been attached with ``attach_source`` for tag routing.
     density_maps:
         Optional per-source :class:`DensityMap` for cost estimates.
-    scheduler:
-        Optional :class:`~repro.machines.scheduler.MachineScheduler`;
-        when given, every execute admits one interactive job per touched
-        server on that server's shared sweep machine
-        (``sweep:<server_id>``, replica-adjusted when the archive has a
-        :class:`~repro.storage.replication.ReplicationManager`).
 
     Physically, each partition server runs *one* shared sweep per
     hosted store: every shard :class:`~repro.query.qet.ScanNode`
@@ -227,21 +194,17 @@ class DistributedQueryEngine:
     physical I/O by the number of in-flight queries.
     """
 
-    def __init__(
-        self,
-        archive,
-        density_maps=None,
-        scheduler=None,
-        batch_rows=4096,
-        workers=None,
-    ):
+    kind = "distributed"
+    #: per-user store overlays do not partition across shards (yet)
+    supports_mydb = False
+
+    def __init__(self, archive, density_maps=None, batch_rows=4096, workers=None):
         if not archive.servers:
             raise ValueError("archive has no servers")
         from repro.machines.workers import resolve_workers
 
         self.archive = archive
         self.density_maps = dict(density_maps or {})
-        self.scheduler = scheduler
         self.batch_rows = int(batch_rows)
         self.workers = resolve_workers(workers)
 
@@ -250,142 +213,64 @@ class DistributedQueryEngine:
         """Current source schemas (live view — repartition/attach safe)."""
         return self.archive.source_schemas()
 
-    # ------------------------------------------------------------------
-    # planning and tree construction
-    # ------------------------------------------------------------------
-
-    def explain(self, text, allow_tag_route=True):
-        """Sharded plans for each SELECT, for inspection and tests."""
-        ast = parse_query(text)
-        sharded = []
-
-        def collect(node):
-            if isinstance(node, SetOp):
-                collect(node.left)
-                collect(node.right)
-            else:
-                plan = plan_query(
-                    node,
-                    self.schemas,
-                    density_maps=self.density_maps,
-                    allow_tag_route=allow_tag_route,
-                )
-                sharded.append(split_plan(plan))
-
-        collect(ast)
-        return sharded
-
-    def build_tree(self, ast, allow_tag_route=True, reports=None):
-        """Build (but do not start) the distributed QET for a parsed query.
-
-        Returns ``(root, empty_schema)``; fan-out reports are appended to
-        ``reports`` when a list is given.
-        """
-        if reports is None:
-            reports = []
-        if isinstance(ast, SetOp):
-            left, left_schema = self.build_tree(ast.left, allow_tag_route, reports)
-            right, _right_schema = self.build_tree(ast.right, allow_tag_route, reports)
-            if ast.op == "UNION":
-                return UnionNode(left, right), left_schema
-            if ast.op == "INTERSECT":
-                return IntersectNode(left, right), left_schema
-            if ast.op == "EXCEPT":
-                return DifferenceNode(left, right), left_schema
-            raise PlanError(f"unknown set operator {ast.op}")
-        if not isinstance(ast, Select):
-            raise PlanError(f"cannot execute {type(ast).__name__}")
-        return self._build_select(ast, allow_tag_route, reports)
-
-    def _build_select(self, select, allow_tag_route, reports):
-        plan = plan_query(
-            select,
-            self.schemas,
-            density_maps=self.density_maps,
-            allow_tag_route=allow_tag_route,
-        )
-        sharded = split_plan(plan)
-        coverage, candidates = shard_candidates(plan, self.archive.depth)
-        touched, report = route_plan(
-            self.archive, plan.routed_source, candidates
-        )
-        reports.append(report)
-
-        shard_roots = []
-        for server in touched:
-            shard_root = self._shard_tree(
-                server.stores()[plan.routed_source], sharded, coverage
-            )
-            # Annotation consumed by the session layer's structured
-            # explain: which server this sub-tree runs on.
-            shard_root.server_id = server.server_id
-            shard_roots.append(shard_root)
-        root = self._merge_tree(shard_roots, sharded)
-        root.fanout_report = report
-        return root, output_schema_for(plan, self.schemas)
-
-    def _shard_tree(self, store, sharded, coverage):
-        """One server's sub-QET (see :func:`build_shard_tree`)."""
-        return build_shard_tree(
-            store,
-            sharded,
-            coverage,
-            batch_rows=self.batch_rows,
-            workers=self.workers,
-        )
-
-    def _merge_tree(self, shard_roots, sharded):
-        """The coordinator half (see :func:`build_merge_tree`)."""
-        return build_merge_tree(
-            shard_roots, sharded, batch_rows=self.batch_rows
-        )
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
+    def generations_for(self, sources, extra_stores=None):
+        """Per-source tuples of every shard's ``(store_uid, generation)``
+        — a mutation on *any* partition server invalidates."""
+        generations = {}
+        for source in sources:
+            pairs = []
+            for server in self.archive.servers:
+                store = server.stores().get(source)
+                if store is None:
+                    return None
+                pairs.append((store.store_uid, store.generation))
+            generations[source] = tuple(pairs)
+        return generations
 
     def prepare(self, text, allow_tag_route=True):
-        """Parse, plan, split and route without starting.
-
-        Returns ``(root, empty_schema, reports)`` — the unstarted
-        coordinator tree, the static output schema, and one
-        :class:`~repro.distributed.routing.ShardFanoutReport` per SELECT.
-        The session layer builds on this to control the job lifecycle.
-        """
+        """Parse, plan, split and route ``text`` into an unstarted
+        :class:`~repro.query.engine.PreparedQuery` carrying one
+        :class:`~repro.distributed.routing.ShardFanoutReport` per SELECT."""
         ast = parse_query(text)
+        schemas = self.schemas
         reports = []
-        root, empty_schema = self.build_tree(
-            ast, allow_tag_route=allow_tag_route, reports=reports
+
+        def build_select(select):
+            plan = plan_query(
+                select,
+                schemas,
+                density_maps=self.density_maps,
+                allow_tag_route=allow_tag_route,
+            )
+            sharded = split_plan(plan)
+            coverage, candidates = shard_candidates(plan, self.archive.depth)
+            touched, report = route_plan(
+                self.archive, plan.routed_source, candidates
+            )
+            reports.append(report)
+            shard_roots = []
+            for server in touched:
+                shard_root = build_shard_tree(
+                    server.stores()[plan.routed_source],
+                    sharded,
+                    coverage,
+                    batch_rows=self.batch_rows,
+                    workers=self.workers,
+                )
+                # Annotation consumed by the session layer's structured
+                # explain: which server this sub-tree runs on.
+                shard_root.server_id = server.server_id
+                shard_roots.append(shard_root)
+            root = build_merge_tree(shard_roots, sharded, batch_rows=self.batch_rows)
+            root.fanout_report = report
+            return root, output_schema_for(plan, schemas)
+
+        root, schema = build_query_tree(ast, build_select)
+        return PreparedQuery(
+            text=text,
+            root=root,
+            schema=schema,
+            reports=reports,
+            sources=[report.source for report in reports],
+            into=extract_into(ast),
         )
-        return root, empty_schema, reports
-
-    def execute(self, text, allow_tag_route=True):
-        """Parse, plan, split, fan out, and start a query.
-
-        Returns a :class:`DistributedQueryResult` streaming merged
-        batches; shard sub-trees for all touched servers run in parallel
-        threads, exactly like the single-store engine's QET.
-
-        .. deprecated::
-           Prefer the session facade (``Archive.connect(engine)``), which
-           returns a :class:`~repro.session.Cursor` with the uniform
-           result model; this entry point remains as a thin shim.
-        """
-        root, empty_schema, reports = self.prepare(
-            text, allow_tag_route=allow_tag_route
-        )
-        if self.scheduler is not None:
-            label = " ".join(text.split())[:40]
-            for report in reports:
-                admit_scan_jobs(self.scheduler, label, report)
-        started_at = start_tree(root)
-        return DistributedQueryResult(root, started_at, reports, empty_schema)
-
-    def query_table(self, text, allow_tag_route=True):
-        """Convenience: execute and materialize.
-
-        A fully empty result returns an *empty table with the right
-        schema* whenever that schema is statically known (``None``
-        otherwise) — the same contract as the single-store engine.
-        """
-        return self.execute(text, allow_tag_route=allow_tag_route).table()

@@ -40,8 +40,8 @@ from repro.net.client import (
     parse_archive_url,
 )
 from repro.net.protocol import ProtocolError, RemoteArchiveError, schema_from_wire
-from repro.query.ast_nodes import Select, SetOp
-from repro.query.errors import PlanError, UnrecoverableShardError
+from repro.query.engine import build_query_tree
+from repro.query.errors import UnrecoverableShardError
 from repro.query.optimizer import (
     output_schema_for,
     plan_query,
@@ -49,7 +49,6 @@ from repro.query.optimizer import (
     split_plan,
 )
 from repro.query.parser import parse_query
-from repro.query.qet import DifferenceNode, IntersectNode, UnionNode
 from repro.session.executor import Executor, PreparedQuery
 
 __all__ = [
@@ -311,39 +310,24 @@ class RemotePartitionedExecutor(Executor):
     def prepare(self, text, allow_tag_route=True):
         ast = parse_query(text)
         reports = []
-        select_counter = [0]
-        root, schema = self._build(
-            ast, text, allow_tag_route, reports, select_counter
-        )
+        select_count = [0]
+
+        def build_select(select):
+            # SELECTs are numbered in build order, which is the order the
+            # shard servers' engines number them in (collect_selects).
+            select_index = select_count[0]
+            select_count[0] += 1
+            return self._build_select(
+                select, text, select_index, allow_tag_route, reports
+            )
+
+        root, schema = build_query_tree(ast, build_select)
         return PreparedQuery(
             text=text,
             root=root,
             schema=schema,
             reports=reports,
             sources=[report.source for report in reports],
-        )
-
-    def _build(self, ast, text, allow_tag_route, reports, select_counter):
-        if isinstance(ast, SetOp):
-            left, left_schema = self._build(
-                ast.left, text, allow_tag_route, reports, select_counter
-            )
-            right, _right_schema = self._build(
-                ast.right, text, allow_tag_route, reports, select_counter
-            )
-            if ast.op == "UNION":
-                return UnionNode(left, right), left_schema
-            if ast.op == "INTERSECT":
-                return IntersectNode(left, right), left_schema
-            if ast.op == "EXCEPT":
-                return DifferenceNode(left, right), left_schema
-            raise PlanError(f"unknown set operator {ast.op}")
-        if not isinstance(ast, Select):
-            raise PlanError(f"cannot execute {type(ast).__name__}")
-        select_index = select_counter[0]
-        select_counter[0] += 1
-        return self._build_select(
-            ast, text, select_index, allow_tag_route, reports
         )
 
     def _build_select(self, select, text, select_index, allow_tag_route, reports):

@@ -21,7 +21,8 @@ clients serialize FIFO through the server's one batch machine.
 
 ``mode="shard"`` submissions (from the remote scatter-gather
 coordinator, :class:`~repro.net.cluster.RemotePartitionedExecutor`) run
-only the pushed-down shard half of one SELECT: the server derives the
+only the pushed-down shard half of one SELECT on a hosted single-store
+:class:`~repro.query.engine.QueryEngine`: the engine derives the
 identical :func:`~repro.query.optimizer.split_plan` from the query text
 — both ends of the wire split deterministically, so no plan closures
 ever need to travel.
@@ -41,7 +42,7 @@ import threading
 import time
 from collections import deque
 
-from repro.distributed.engine import build_shard_tree
+from repro.distributed.engine import DistributedQueryEngine
 from repro.htm.ranges import RangeSet
 from repro.net.faults import CrashServer, DropConnection
 from repro.net.protocol import (
@@ -62,162 +63,14 @@ from repro.net.protocol import (
 )
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.trace import assemble_job_trace
-from repro.query.ast_nodes import Select, SetOp
-from repro.query.errors import ExecutionError, PlanError, QueryError
-from repro.query.optimizer import (
-    output_schema_for,
-    plan_query,
-    shard_candidates,
-    split_plan,
-)
-from repro.query.parser import parse_query
+from repro.query.engine import QueryEngine
+from repro.query.errors import ExecutionError, QueryError
 from repro.service import ServiceTier
 from repro.service.errors import AuthenticationError
 from repro.session.core import Archive, SessionError
-from repro.session.executor import (
-    DistributedExecutor,
-    Executor,
-    LocalExecutor,
-    PreparedQuery,
-)
 from repro.session.plan import analyzed_plan_tree, plan_tree
 
-__all__ = ["ArchiveServer", "ShardExecutor"]
-
-
-def _collect_selects(ast):
-    """Every SELECT of a parsed query, in deterministic execution order.
-
-    The same left-to-right depth-first order
-    :meth:`~repro.query.engine.QueryEngine.prepare_tree` and the
-    distributed executor use — the coordinator and the shard servers
-    number SELECTs identically, so ``select_index`` means the same
-    subquery on both ends of the wire.
-    """
-    if isinstance(ast, SetOp):
-        return _collect_selects(ast.left) + _collect_selects(ast.right)
-    if isinstance(ast, Select):
-        return [ast]
-    raise PlanError(f"cannot execute {type(ast).__name__}")
-
-
-class ShardExecutor(Executor):
-    """Executor running only the pushed-down shard half of one SELECT.
-
-    The server side of remote scatter-gather: ``prepare(text,
-    select_index=i)`` parses, plans and splits the query exactly like a
-    coordinator would, then builds the QET for ``sharded.shard`` over
-    this server's own containers.  Partial aggregates, per-shard sort
-    and LIMIT copies stream back; the coordinator's merge tree finishes
-    the job.
-    """
-
-    kind = "shard"
-
-    def __init__(self, engine, batch_rows=4096):
-        self.engine = engine
-        self.batch_rows = int(batch_rows)
-        #: morsel-parallel width inside this shard — inherited from the
-        #: hosted engine so one knob configures both submission modes
-        self.workers = getattr(engine, "workers", 1)
-
-    def prepare(self, text, allow_tag_route=True, select_index=0, ranges=None):
-        ast = parse_query(text)
-        selects = _collect_selects(ast)
-        index = int(select_index)
-        if not 0 <= index < len(selects):
-            raise PlanError(
-                f"select_index {index} out of range: query has "
-                f"{len(selects)} SELECTs"
-            )
-        plan = plan_query(
-            selects[index],
-            self.engine.schemas,
-            density_maps=self.engine.density_maps,
-            allow_tag_route=allow_tag_route,
-        )
-        sharded = split_plan(plan)
-        store = self.engine.stores[plan.routed_source]
-        coverage, _candidates = shard_candidates(plan, store.depth)
-        restrict = None
-        track = False
-        if ranges is not None:
-            # A replicated-cluster submission: scan only the coordinator's
-            # disjoint container assignment, and stamp every batch with
-            # the cumulative delivered ranges so a failover can resume
-            # exactly where this stream died.  Tracking needs the serial
-            # scan, so the morsel pool is not spun up.
-            restrict = RangeSet(tuple((int(lo), int(hi)) for lo, hi in ranges))
-            track = True
-        root = build_shard_tree(
-            store,
-            sharded,
-            coverage,
-            batch_rows=self.batch_rows,
-            workers=1 if track else self.workers,
-            restrict=restrict,
-            track_delivery=track,
-        )
-        return PreparedQuery(
-            text=text,
-            root=root,
-            schema=output_schema_for(sharded.shard, self.engine.schemas),
-            sources=[plan.routed_source],
-        )
-
-
-class _ServerExecutor(Executor):
-    """The server session's executor: full-mode queries go to the hosted
-    backend, shard-mode queries to the :class:`ShardExecutor` (when the
-    backend is a single-store engine — the shape a partition server
-    has)."""
-
-    def __init__(self, base, shard=None):
-        self.base = base
-        self.shard = shard
-        self.kind = getattr(base, "kind", "unknown")
-
-    @property
-    def supports_mydb(self):
-        """MyDB overlays reach only backends that can host them."""
-        return getattr(self.base, "supports_mydb", False)
-
-    def generations_for(self, sources, extra_stores=None):
-        """Proxy cache-validation snapshots to the hosted backend
-        (``None`` — never cacheable — when it has no notion of them)."""
-        snapshot = getattr(self.base, "generations_for", None)
-        if snapshot is None:
-            return None
-        return snapshot(sources, extra_stores=extra_stores)
-
-    def prepare(
-        self,
-        text,
-        allow_tag_route=True,
-        mode="full",
-        select_index=0,
-        extra_stores=None,
-        ranges=None,
-    ):
-        if mode == "full":
-            kwargs = {}
-            if extra_stores is not None:
-                kwargs["extra_stores"] = extra_stores
-            return self.base.prepare(text, allow_tag_route=allow_tag_route, **kwargs)
-        if mode != "shard":
-            raise SessionError(f"unknown submission mode {mode!r}")
-        if self.shard is None:
-            raise SessionError(
-                "this archive server hosts a "
-                f"{self.kind!r} backend and cannot run shard-mode queries "
-                "(shard mode needs a single-store engine)"
-            )
-        return self.shard.prepare(
-            text,
-            allow_tag_route=allow_tag_route,
-            select_index=select_index,
-            ranges=ranges,
-        )
+__all__ = ["ArchiveServer"]
 
 
 class _ServedJob:
@@ -334,12 +187,6 @@ class ArchiveServer:
             workers=workers,
             service=service,
         )
-        base = self.session.executor
-        shard = None
-        if isinstance(base, LocalExecutor):
-            shard = ShardExecutor(base.engine, batch_rows=batch_rows)
-        self._base_executor = base
-        self.session.executor = _ServerExecutor(base, shard)
         self.host = host
         self.port = int(port)
         self._listener = None
@@ -544,10 +391,16 @@ class ArchiveServer:
             thread = threading.Thread(
                 target=self._serve_connection, args=(sock,), daemon=True
             )
+            # Registered and started under the lock stop() snapshots
+            # threads with, so stop() never joins an unstarted thread; a
+            # connection accepted after stop() began is closed instead.
             with self._lock:
+                if self._closing.is_set():
+                    sock.close()
+                    break
                 self._connections.add(sock)
                 self._threads.add(thread)
-            thread.start()
+                thread.start()
 
     def _serve_connection(self, sock):
         conn = _Conn()
@@ -691,9 +544,8 @@ class ArchiveServer:
         sources = {}
         depth = None
         n_servers = 1
-        base = self._base_executor
-        engine = getattr(base, "engine", None)
-        if isinstance(base, LocalExecutor):
+        engine = self.session.executor
+        if isinstance(engine, QueryEngine):
             for name, store in engine.stores.items():
                 depth = store.depth
                 sources[name] = {
@@ -704,7 +556,7 @@ class ArchiveServer:
                     "objects": store.total_objects(),
                     "bytes": store.total_bytes(),
                 }
-        elif isinstance(base, DistributedExecutor):
+        elif isinstance(engine, DistributedQueryEngine):
             archive = engine.archive
             depth = archive.depth
             n_servers = len(archive.servers)
@@ -726,8 +578,8 @@ class ArchiveServer:
         return {
             "op": "hello",
             "version": PROTOCOL_VERSION,
-            "kind": getattr(base, "kind", "unknown"),
-            "shard_capable": isinstance(base, LocalExecutor),
+            "kind": getattr(engine, "kind", "unknown"),
+            "shard_capable": isinstance(engine, QueryEngine),
             "depth": depth,
             "n_servers": n_servers,
             "sources": sources,
@@ -787,15 +639,25 @@ class ArchiveServer:
 
     def _handle_submit(self, sock, header, conn):
         query_class = header.get("query_class", "interactive")
+        mode = header.get("mode", "full")
+        prepare_kwargs = None
+        if mode != "full":
+            if not isinstance(self.session.executor, QueryEngine):
+                raise SessionError(
+                    "this archive server hosts a "
+                    f"{self.session.backend!r} backend and cannot run "
+                    f"{mode}-mode queries (they need a single-store engine)"
+                )
+            prepare_kwargs = {
+                "mode": mode,
+                "select_index": int(header.get("select_index", 0)),
+                "ranges": header.get("ranges"),
+            }
         job = self.session.submit(
             header.get("text", ""),
             query_class=query_class,
             allow_tag_route=bool(header.get("allow_tag_route", True)),
-            prepare_kwargs={
-                "mode": header.get("mode", "full"),
-                "select_index": int(header.get("select_index", 0)),
-                "ranges": header.get("ranges"),
-            },
+            prepare_kwargs=prepare_kwargs,
             user=conn.effective_user,
         )
         client_trace = header.get("trace_id")

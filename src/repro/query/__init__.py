@@ -10,12 +10,12 @@ child nodes are passed up the tree as soon as they are generated."*
 Pipeline: SQL-ish text -> :mod:`lexer` -> :mod:`parser` (AST in
 :mod:`ast_nodes`) -> :mod:`optimizer` (spatial-region extraction, tag
 routing, cost estimates) -> :mod:`qet` (execution tree) -> :mod:`engine`
-(threads + ASAP push).
+(the unstarted tree a session job runs with ASAP push).
 """
 
 from repro.query.errors import QueryError, ParseError, PlanError
 from repro.query.parser import parse_query
-from repro.query.engine import QueryEngine, QueryResult
+from repro.query.engine import QueryEngine
 from repro.query.optimizer import (
     MergeSpec,
     QueryPlan,
@@ -32,7 +32,6 @@ __all__ = [
     "PlanError",
     "parse_query",
     "QueryEngine",
-    "QueryResult",
     "QueryPlan",
     "plan_query",
     "MergeSpec",

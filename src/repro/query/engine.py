@@ -6,29 +6,35 @@ as soon as they are generated. ... even in the case of a query that takes
 a very long time to complete, the user starts seeing results almost
 immediately."*
 
-:class:`QueryEngine` owns the physical sources (container stores), builds
-a QET from parsed query text, starts every node's thread, and returns a
-:class:`QueryResult` that streams batches to the caller while recording
-time-to-first-row — the measurable form of the ASAP claim.
+:class:`QueryEngine` owns the physical sources (container stores) and is
+the single-store executor behind :class:`~repro.session.Session`:
+``prepare`` parses and plans query text into an *unstarted* QET
+(a :class:`PreparedQuery`); the session's
+:class:`~repro.session.Job` starts every node's thread and streams the
+batches, recording time-to-first-row — the measurable form of the ASAP
+claim.  Run queries through
+``Archive.connect(engine)`` (or ``Archive.connect(stores=...)``).
 
-.. note::
-   ``QueryEngine`` remains fully supported as the single-store execution
-   backend, but the preferred *user-facing* entry point is now the
-   session facade: ``repro.session.Archive.connect(engine)`` wraps this
-   engine (or a distributed one) behind the uniform
-   :class:`~repro.session.Session` / :class:`~repro.session.Job` /
-   :class:`~repro.session.Cursor` surface.
+Hosted by an :class:`~repro.net.server.ArchiveServer`, the same engine
+also prepares ``mode="shard"`` submissions: the pushed-down shard half
+of one SELECT, for a remote scatter-gather coordinator.
 """
 
 from __future__ import annotations
 
-import time
+from dataclasses import dataclass, field
 
-from repro.catalog.table import ObjectTable
+from repro.htm.ranges import RangeSet
 from repro.query.ast_nodes import Select, SetOp
 from repro.query.errors import PlanError
-from repro.query.optimizer import fused_top_k, output_schema_for, plan_query
-from repro.query.parser import parse_query
+from repro.query.optimizer import (
+    fused_top_k,
+    output_schema_for,
+    plan_query,
+    shard_candidates,
+    split_plan,
+)
+from repro.query.parser import extract_into, parse_query
 from repro.query.qet import (
     AggregateNode,
     DifferenceNode,
@@ -42,114 +48,96 @@ from repro.query.qet import (
     UnionNode,
 )
 
-__all__ = ["QueryEngine", "QueryResult", "start_tree"]
+__all__ = ["PreparedQuery", "QueryEngine", "build_query_tree", "collect_selects"]
 
 
-def start_tree(root):
-    """Start every node thread of an unstarted QET, leaves last.
+@dataclass
+class PreparedQuery:
+    """Everything the session needs to run one query.
 
-    Returns the ``perf_counter`` start time, which result handles use as
-    the zero point for time-to-first-row.
+    Attributes
+    ----------
+    text:
+        The original query text.
+    root:
+        The unstarted QET root; starting its threads begins execution.
+    schema:
+        Statically-derived output schema (``None`` only when unknowable
+        without data).
+    reports:
+        One :class:`~repro.distributed.routing.ShardFanoutReport` per
+        SELECT for distributed backends; empty for single-store ones.
+    sources:
+        The routed physical source of every SELECT (e.g. ``['tag']``
+        after tag routing) — the stores whose shared sweeps this query
+        rides; the session admits one ``sweep:<source>`` machine job per
+        distinct source for single-store backends.
+    into:
+        The ``SELECT ... INTO mydb.x`` destination, or ``None`` for
+        ordinary queries.  The session layer materializes the drained
+        result into the submitting user's MyDB workspace.
     """
-    started_at = time.perf_counter()
-    for node in reversed(list(root.walk())):
-        node.start()
-    return started_at
+
+    text: str
+    root: object
+    schema: object = None
+    reports: list = field(default_factory=list)
+    sources: list = field(default_factory=list)
+    into: str | None = None
+
+    def simulated_seconds(self):
+        """Total simulated scan seconds across the fan-out (0.0 when the
+        backend does not model per-server cost)."""
+        return sum(report.simulated_seconds for report in self.reports)
 
 
-class QueryResult:
-    """Streaming result handle.
+def collect_selects(ast):
+    """Every SELECT of a parsed query, in deterministic execution order.
 
-    Iterate for batches; ``table()`` drains into one
-    :class:`~repro.catalog.table.ObjectTable`.  ``time_to_first_row`` and
-    ``time_to_completion`` (seconds) are populated as the stream is
-    consumed.  ``empty_schema`` names the statically-derived output
-    schema, so a query that produced no batches still materializes as a
-    well-formed *empty* table — the same contract for local and
-    distributed execution.
+    The same left-to-right depth-first order every executor builds its
+    tree in, so a remote coordinator and its shard servers number
+    SELECTs identically: ``select_index`` means the same subquery on
+    both ends of the wire.
     """
+    if isinstance(ast, SetOp):
+        return collect_selects(ast.left) + collect_selects(ast.right)
+    if isinstance(ast, Select):
+        return [ast]
+    raise PlanError(f"cannot execute {type(ast).__name__}")
 
-    def __init__(self, root, started_at, empty_schema=None):
-        self._root = root
-        self._started_at = started_at
-        self._empty_schema = empty_schema
-        self.time_to_first_row = None
-        self.time_to_completion = None
-        self.rows = 0
 
-    @property
-    def schema(self):
-        """Static output schema, or ``None`` in the rare case it cannot
-        be derived without data (e.g. a projection that fails on a
-        zero-row table)."""
-        return self._empty_schema
+_SET_NODES = {
+    "UNION": UnionNode,
+    "INTERSECT": IntersectNode,
+    "EXCEPT": DifferenceNode,
+}
 
-    def __iter__(self):
-        for batch in self._root.output:
-            if self.time_to_first_row is None and len(batch):
-                self.time_to_first_row = time.perf_counter() - self._started_at
-            self.rows += len(batch)
-            yield batch
-        # Re-draining a finished result is a no-op; keep the first
-        # completion time rather than overwriting it with a later read.
-        if self.time_to_completion is None:
-            self.time_to_completion = time.perf_counter() - self._started_at
-        self._root.join()
 
-    def table(self):
-        """Materialize the full result.
+def build_query_tree(ast, build_select):
+    """The unstarted QET of a parsed query.
 
-        An empty bag returns an empty table of the statically-derived
-        output schema; only when that schema is unknowable (no
-        ``empty_schema``) does this fall back to ``None``.
-        """
-        batches = list(self)
-        if not batches:
-            if self._empty_schema is not None:
-                return ObjectTable(self._empty_schema)
-            return None
-        return ObjectTable.concat_all(batches)
-
-    def cancel(self):
-        """Stop the query early.
-
-        Cancels *every* node's output stream, not just the root's: a
-        pipeline breaker (sort, aggregate) blocked draining its child
-        would otherwise keep scanning until the child finished.  Each
-        node thread notices its cancelled stream and exits promptly.
-        """
-        for node in self._root.walk():
-            node.output.cancel()
-
-    def join(self, timeout=None):
-        """Join every node thread in the tree.
-
-        ``timeout`` bounds the *total* wait across all nodes.  Use
-        :meth:`alive_nodes` afterwards to check for stragglers.
-        """
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        for node in self._root.walk():
-            remaining = None
-            if deadline is not None:
-                remaining = max(0.0, deadline - time.perf_counter())
-            node.join(remaining)
-
-    def alive_nodes(self):
-        """Nodes whose threads are still running (empty after a clean
-        drain or a completed cancel)."""
-        return [node for node in self._root.walk() if node.is_alive()]
-
-    def node_stats(self):
-        """Mapping of node -> stats for the whole tree."""
-        return {node: node.stats for node in self._root.walk()}
-
-    def pending_batches(self):
-        """Batches already produced and waiting at the root (approximate)."""
-        return self._root.output.pending()
+    ``build_select(select)`` returns ``(root, schema)`` for one SELECT
+    and is called in :func:`collect_selects` order; set operations
+    combine the branch trees.  Returns ``(root, schema)``, where a set
+    operation reports its left branch's schema.
+    """
+    if isinstance(ast, SetOp):
+        left, schema = build_query_tree(ast.left, build_select)
+        right, _right_schema = build_query_tree(ast.right, build_select)
+        node_class = _SET_NODES.get(ast.op)
+        if node_class is None:
+            raise PlanError(f"unknown set operator {ast.op}")
+        return node_class(left, right), schema
+    if not isinstance(ast, Select):
+        raise PlanError(f"cannot execute {type(ast).__name__}")
+    return build_select(ast)
 
 
 class QueryEngine:
-    """Query façade over the archive's physical stores.
+    """Single-store executor over the archive's physical stores.
+
+    Run queries through ``Archive.connect(engine)``; the engine itself
+    only prepares unstarted trees (see :meth:`prepare`).
 
     Parameters
     ----------
@@ -163,8 +151,7 @@ class QueryEngine:
         Target rows per execution morsel: scans coalesce delivered
         containers into batches of roughly this size before each
         vectorized predicate pass (and emit batches of at most this
-        size).  Non-positive disables coalescing — one evaluation per
-        container, the pre-morsel behavior kept for benchmarks.
+        size).  Must be positive.
     workers:
         Morsel-parallel worker threads per scan/aggregate/top-k node.
         ``None`` resolves from the ``REPRO_WORKERS`` environment
@@ -173,6 +160,10 @@ class QueryEngine:
         identical to serial execution (see
         :mod:`repro.machines.workers`).
     """
+
+    kind = "local"
+    #: this backend can overlay per-user MyDB stores and run INTO
+    supports_mydb = True
 
     def __init__(self, stores, density_maps=None, batch_rows=4096, workers=None):
         if not stores:
@@ -185,69 +176,79 @@ class QueryEngine:
         self.workers = resolve_workers(workers)
         self.schemas = {name: store.schema for name, store in self.stores.items()}
 
-    # ------------------------------------------------------------------
-    # planning and tree construction
-    # ------------------------------------------------------------------
-
-    def build_tree(self, ast, allow_tag_route=True):
-        """Build (but do not start) the QET for a parsed query."""
-        root, _schema, _plans = self.prepare_tree(ast, allow_tag_route)
-        return root
-
-    def prepare_tree(self, ast, allow_tag_route=True, extra_stores=None):
-        """Build an unstarted QET plus its static output metadata.
-
-        Returns ``(root, empty_schema, plans)``: the tree, the
-        statically-derived output schema (a set operation reports its
-        left branch's schema), and the :class:`QueryPlan` of every
-        SELECT in execution order.  ``extra_stores`` overlays additional
-        sources (e.g. a user's ``mydb.*`` workspace tables) for this
-        query only, without mutating the engine's catalog.
-        """
+    def generations_for(self, sources, extra_stores=None):
+        """``{source: (store_uid, generation)}`` snapshot for cache
+        validation, or ``None`` when a source does not resolve."""
+        stores = self.stores
         if extra_stores:
-            stores = {**self.stores, **extra_stores}
+            stores = {**stores, **extra_stores}
+        generations = {}
+        for source in sources:
+            store = stores.get(source)
+            if store is None:
+                return None
+            generations[source] = (store.store_uid, store.generation)
+        return generations
+
+    def prepare(
+        self,
+        text,
+        allow_tag_route=True,
+        extra_stores=None,
+        mode="full",
+        select_index=0,
+        ranges=None,
+    ):
+        """Parse and plan ``text`` into an unstarted :class:`PreparedQuery`.
+
+        ``extra_stores`` overlays additional sources (e.g. a user's
+        ``mydb.*`` workspace tables) for this query only, without
+        mutating the engine's catalog.  ``mode="shard"`` prepares only
+        the pushed-down shard half of SELECT number ``select_index``
+        (see :meth:`_prepare_shard`); a remote coordinator's merge tree
+        finishes the job.
+        """
+        ast = parse_query(text)
+        if mode == "shard":
+            return self._prepare_shard(
+                text, ast, allow_tag_route, select_index, ranges
+            )
+        if mode != "full":
+            raise PlanError(f"unknown submission mode {mode!r}")
+        stores = self.stores
+        schemas = self.schemas
+        if extra_stores:
+            stores = {**stores, **extra_stores}
             schemas = {name: store.schema for name, store in stores.items()}
-        else:
-            stores = self.stores
-            schemas = self.schemas
-        return self._prepare_tree(ast, allow_tag_route, stores, schemas)
+        plans = []
 
-    def _prepare_tree(self, ast, allow_tag_route, stores, schemas):
-        if isinstance(ast, SetOp):
-            left, left_schema, left_plans = self._prepare_tree(
-                ast.left, allow_tag_route, stores, schemas
+        def build_select(select):
+            plan = plan_query(
+                select,
+                schemas,
+                density_maps=self.density_maps,
+                allow_tag_route=allow_tag_route,
             )
-            right, _right_schema, right_plans = self._prepare_tree(
-                ast.right, allow_tag_route, stores, schemas
-            )
-            plans = left_plans + right_plans
-            if ast.op == "UNION":
-                return UnionNode(left, right), left_schema, plans
-            if ast.op == "INTERSECT":
-                return IntersectNode(left, right), left_schema, plans
-            if ast.op == "EXCEPT":
-                return DifferenceNode(left, right), left_schema, plans
-            raise PlanError(f"unknown set operator {ast.op}")
-        if not isinstance(ast, Select):
-            raise PlanError(f"cannot execute {type(ast).__name__}")
+            plans.append(plan)
+            return self._select_tree(plan, stores), output_schema_for(plan, schemas)
 
-        plan = plan_query(
-            ast,
-            schemas,
-            density_maps=self.density_maps,
-            allow_tag_route=allow_tag_route,
+        root, schema = build_query_tree(ast, build_select)
+        return PreparedQuery(
+            text=text,
+            root=root,
+            schema=schema,
+            sources=[plan.routed_source for plan in plans],
+            into=extract_into(ast),
         )
-        root = self._select_tree(plan, stores)
-        return root, output_schema_for(plan, schemas), [plan]
 
-    def _select_tree(self, plan, stores=None):
+    def _select_tree(self, plan, stores):
         """The single-store QET for one planned SELECT.
 
         ``ORDER BY ... LIMIT k`` fuses into a streaming
         :class:`TopKNode` (bounded candidate buffer) instead of the
         full-materialize ``SortNode -> LimitNode`` pair.
         """
-        store = (stores if stores is not None else self.stores)[plan.routed_source]
+        store = stores[plan.routed_source]
         workers = self.workers
         node = ScanNode(
             store, plan, batch_rows=self.batch_rows, workers=workers
@@ -288,63 +289,55 @@ class QueryEngine:
             node = ProjectNode(node, plan.projection)
         return node
 
-    def explain(self, text, allow_tag_route=True):
-        """Plans for each SELECT in the query, for inspection/benchmarks.
+    def _prepare_shard(self, text, ast, allow_tag_route, select_index, ranges):
+        """The server side of remote scatter-gather.
 
-        .. deprecated::
-           For a uniform, structured plan *tree* (the same shape for
-           local and distributed execution), prefer
-           ``Archive.connect(engine).explain(text)``.
+        Plans and splits SELECT number ``select_index`` exactly like the
+        coordinator did — both ends of the wire split deterministically,
+        so no plan closures travel — then builds the QET for
+        ``sharded.shard`` over this engine's own containers.  Partial
+        aggregates, per-shard sort and LIMIT copies stream back.
         """
-        ast = parse_query(text)
-        plans = []
+        from repro.distributed.engine import build_shard_tree
 
-        def collect(node):
-            if isinstance(node, SetOp):
-                collect(node.left)
-                collect(node.right)
-            else:
-                plans.append(
-                    plan_query(
-                        node,
-                        self.schemas,
-                        density_maps=self.density_maps,
-                        allow_tag_route=allow_tag_route,
-                    )
-                )
-
-        collect(ast)
-        return plans
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-
-    def prepare(self, text, allow_tag_route=True, extra_stores=None):
-        """Parse and plan without starting: ``(root, empty_schema, plans)``."""
-        ast = parse_query(text)
-        return self.prepare_tree(
-            ast, allow_tag_route=allow_tag_route, extra_stores=extra_stores
+        selects = collect_selects(ast)
+        index = int(select_index)
+        if not 0 <= index < len(selects):
+            raise PlanError(
+                f"select_index {index} out of range: query has "
+                f"{len(selects)} SELECTs"
+            )
+        plan = plan_query(
+            selects[index],
+            self.schemas,
+            density_maps=self.density_maps,
+            allow_tag_route=allow_tag_route,
         )
-
-    def execute(self, text, allow_tag_route=True):
-        """Parse, plan, and start a query; returns a :class:`QueryResult`.
-
-        .. deprecated::
-           Prefer the session facade (``Archive.connect(engine)``), which
-           returns a :class:`~repro.session.Cursor` with the uniform
-           result model; this entry point remains as a thin shim.
-        """
-        root, empty_schema, _plans = self.prepare(
-            text, allow_tag_route=allow_tag_route
+        sharded = split_plan(plan)
+        store = self.stores[plan.routed_source]
+        coverage, _candidates = shard_candidates(plan, store.depth)
+        restrict = None
+        track = False
+        if ranges is not None:
+            # A replicated-cluster submission: scan only the coordinator's
+            # disjoint container assignment, and stamp every batch with
+            # the cumulative delivered ranges so a failover can resume
+            # exactly where this stream died.  Tracking needs the serial
+            # scan, so the morsel pool is not spun up.
+            restrict = RangeSet(tuple((int(lo), int(hi)) for lo, hi in ranges))
+            track = True
+        root = build_shard_tree(
+            store,
+            sharded,
+            coverage,
+            batch_rows=self.batch_rows,
+            workers=1 if track else self.workers,
+            restrict=restrict,
+            track_delivery=track,
         )
-        started_at = start_tree(root)
-        return QueryResult(root, started_at, empty_schema=empty_schema)
-
-    def query_table(self, text, allow_tag_route=True):
-        """Convenience: execute and materialize.
-
-        Empty bags come back as empty, correctly-schemed tables (see
-        :meth:`QueryResult.table`).
-        """
-        return self.execute(text, allow_tag_route=allow_tag_route).table()
+        return PreparedQuery(
+            text=text,
+            root=root,
+            schema=output_schema_for(sharded.shard, self.schemas),
+            sources=[plan.routed_source],
+        )

@@ -26,14 +26,8 @@ from repro.machines.scheduler import MachineScheduler
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.report import legacy_io_report
 from repro.obs.trace import Trace, assemble_job_trace
-from repro.query.engine import QueryResult, start_tree
 from repro.session.cursor import Cursor
-from repro.session.executor import (
-    DistributedExecutor,
-    Executor,
-    LocalExecutor,
-    PreparedQuery,
-)
+from repro.session.executor import PreparedQuery
 from repro.session.plan import analyzed_plan_tree, plan_tree
 
 __all__ = [
@@ -84,6 +78,14 @@ def _merge_cache_counters(merged, cache_raw):
     return merged
 
 
+def _cancel_tree(root):
+    """Cancel *every* node's output stream, not just the root's: a
+    pipeline breaker (sort, aggregate) blocked draining its child would
+    otherwise keep scanning until the child finished."""
+    for node in root.walk():
+        node.output.cancel()
+
+
 class JobState(enum.Enum):
     """Lifecycle of one submitted query."""
 
@@ -103,9 +105,11 @@ class Job:
     States move ``QUEUED -> RUNNING -> DONE | CANCELLED | FAILED``
     (interactive jobs skip straight to RUNNING at submission; batch jobs
     wait in the session's FIFO batch queue).  ``job.cursor`` is the
-    uniform result handle; ``rows`` / ``time_to_first_row`` are live
-    progress counters; :meth:`cancel` stops every QET node thread;
-    :meth:`node_stats` exposes per-node execution counters.
+    uniform result handle; ``rows``, ``time_to_first_row`` and
+    ``time_to_completion`` (seconds from QET start) are live progress
+    counters, updated as the stream is consumed; :meth:`cancel` stops
+    every QET node thread; :meth:`node_stats` exposes per-node execution
+    counters.
     """
 
     def __init__(self, session, job_id, prepared, query_class, user="anonymous"):
@@ -119,7 +123,12 @@ class Job:
         self._lock = threading.Lock()
         self._readable = threading.Event()
         self._finished = threading.Event()
-        self._result = None
+        #: the started QET root (None until the job starts)
+        self._root = None
+        self._started_at = None
+        self.rows = 0
+        self.time_to_first_row = None
+        self.time_to_completion = None
         self.error = None
         #: True when this job was answered from the result cache
         self.cache_hit = False
@@ -160,22 +169,10 @@ class Job:
         """Shard fan-out reports (distributed backends; empty otherwise)."""
         return list(self._prepared.reports)
 
-    @property
-    def rows(self):
-        """Rows produced so far."""
-        return 0 if self._result is None else self._result.rows
-
-    @property
-    def time_to_first_row(self):
-        return None if self._result is None else self._result.time_to_first_row
-
-    @property
-    def time_to_completion(self):
-        return None if self._result is None else self._result.time_to_completion
-
     def node_stats(self):
         """Per-QET-node execution counters (empty before start)."""
-        return {} if self._result is None else self._result.node_stats()
+        root = self._root
+        return {} if root is None else {node: node.stats for node in root.walk()}
 
     def io_counters(self):
         """Raw shared-scan I/O counters behind :meth:`io_report`.
@@ -204,11 +201,9 @@ class Job:
             "attempts": 0,
             "failovers": 0,
         }
-        if self._result is None:
-            return counters
         sweepers = []
         pools = []
-        for node, stats in self._result.node_stats().items():
+        for node, stats in self.node_stats().items():
             counters["containers_read"] += stats.containers_read
             counters["containers_from_pool"] += stats.containers_from_pool
             counters["containers_skipped"] += stats.containers_skipped
@@ -311,32 +306,50 @@ class Job:
         # root, so scatter-gather shard leaves under a merge root are
         # bound too.
         root = self._prepared.root
-        for node in root.walk() if hasattr(root, "walk") else (root,):
+        nodes = list(root.walk())
+        for node in nodes:
             bind = getattr(node, "bind_job", None)
             if bind is not None:
                 bind(self)
         if self._queue_span is not None and self._queue_span.ended_at is None:
             self._trace.end(self._queue_span)
-        started_at = start_tree(self._prepared.root)
+        # Leaves start last, so every consumer is running before its
+        # producer emits; the start time is time-to-first-row's zero.
+        started_at = time.perf_counter()
+        for node in reversed(nodes):
+            node.start()
         if self._trace is not None:
             self._execute_span = self._trace.new_span(
                 "execute",
                 parent=self._trace.first("query"),
                 started_at=started_at,
             )
-        result = QueryResult(
-            self._prepared.root, started_at, empty_schema=self._prepared.schema
-        )
         with self._lock:
-            self._result = result
+            self._started_at = started_at
+            self._root = root
             cancelled = self._state is JobState.CANCELLED
         if cancelled:
-            # cancel() raced the thread start and missed the result (it
+            # cancel() raced the thread start and missed the tree (it
             # was still None); finish the cancellation here.
-            result.cancel()
+            _cancel_tree(root)
             return False
         self._readable.set()
         return True
+
+    def _stream(self):
+        """The started tree's output batches, updating the progress
+        counters as they are consumed."""
+        root = self._root
+        for batch in root.output:
+            if self.time_to_first_row is None and len(batch):
+                self.time_to_first_row = time.perf_counter() - self._started_at
+            self.rows += len(batch)
+            yield batch
+        # Re-draining a finished stream is a no-op; keep the first
+        # completion time rather than overwriting it with a later read.
+        if self.time_to_completion is None:
+            self.time_to_completion = time.perf_counter() - self._started_at
+        root.join()
 
     def _note_done(self):
         with self._lock:
@@ -391,10 +404,10 @@ class Job:
             if self._state.is_terminal():
                 return
             self._state = JobState.CANCELLED
-            result = self._result
-        if result is not None:
-            result.cancel()
-        # If the job was mid-start (RUNNING but result not yet assigned),
+            root = self._root
+        if root is not None:
+            _cancel_tree(root)
+        # If the job was mid-start (RUNNING but tree not yet assigned),
         # _start's post-assignment check finishes the cancellation.
         self._readable.set()
         self._finished.set()
@@ -411,22 +424,34 @@ class Job:
         return self._state
 
     def join(self, timeout=None):
-        """Wait for terminal state, then join every QET node thread."""
+        """Wait for terminal state, then join every QET node thread.
+
+        ``timeout`` bounds the *total* wait; use :meth:`alive_nodes`
+        afterwards to check for stragglers.
+        """
         deadline = None if timeout is None else time.perf_counter() + timeout
-        remaining = None if deadline is None else max(0.0, deadline - time.perf_counter())
-        self._finished.wait(remaining)
-        if self._result is not None:
-            remaining = None if deadline is None else max(0.0, deadline - time.perf_counter())
-            self._result.join(remaining)
+
+        def remaining():
+            if deadline is None:
+                return None
+            return max(0.0, deadline - time.perf_counter())
+
+        self._finished.wait(remaining())
+        if self._root is not None:
+            for node in self._root.walk():
+                node.join(remaining())
 
     def alive_nodes(self):
-        """QET nodes whose threads are still running."""
-        return [] if self._result is None else self._result.alive_nodes()
+        """QET nodes whose threads are still running (empty after a
+        clean drain or a completed cancel)."""
+        if self._root is None:
+            return []
+        return [node for node in self._root.walk() if node.is_alive()]
 
     # -- cursor support -------------------------------------------------
 
     def _wait_readable(self):
-        """Block until results may be read; returns the QueryResult.
+        """Block until results may be read; returns the batch stream.
 
         Interactive jobs are readable immediately; batch jobs once the
         dispatcher has run them to completion (the paper's batch
@@ -436,7 +461,7 @@ class Job:
             self._finished.wait()
         else:
             self._readable.wait()
-        if self._result is None:
+        if self._root is None:
             if self.error is not None:
                 raise SessionError(
                     f"job {self.job_id!r} failed to start: {self.error}"
@@ -444,13 +469,13 @@ class Job:
             raise JobCancelledError(
                 f"job {self.job_id!r} was cancelled before it started"
             )
-        return self._result
+        return self._stream()
 
     def _run_to_completion(self):
         """Dispatcher body for batch jobs: drain into the cursor buffer.
 
-        Drains ``self._result`` directly (not through the cursor's pull
-        path, whose batch gate waits on this very method to finish).
+        Drains the stream directly (not through the cursor's pull path,
+        whose batch gate waits on this very method to finish).
         Rows land in the cursor buffer, so results are delivered on
         completion; a failure keeps the partial rows readable and the
         underlying stream's sticky error re-raises for the reader.
@@ -458,7 +483,7 @@ class Job:
         if not self._start():
             return  # cancelled while queued
         try:
-            for batch in self._result:
+            for batch in self._stream():
                 self._collect(batch)
                 if self.cursor._seen_schema is None:
                     self.cursor._seen_schema = batch.schema
@@ -868,9 +893,8 @@ class Session:
         interactive (jobs overlap freely), not N per-query scan
         machines.  Batch queries admit one job on the exclusive FIFO
         ``batch`` machine — the paper's priority split.  All times stay
-        in the scheduler's *simulated* clock (arrival 0.0, like the
-        legacy admission paths), so turnaround statistics keep coherent
-        units.
+        in the scheduler's *simulated* clock (arrival 0.0), so
+        turnaround statistics keep coherent units.
         """
         if job.query_class == "batch":
             # Batch accounting happens at *dispatch* time (see
@@ -997,12 +1021,12 @@ class Session:
 class Archive:
     """The archive facade: ``Archive.connect(...)`` -> :class:`Session`.
 
-    Accepts any backend shape and wraps it behind the one Session API:
+    Accepts any backend shape and runs it behind the one Session API:
 
     * a :class:`~repro.query.engine.QueryEngine` (single store),
     * a :class:`~repro.distributed.engine.DistributedQueryEngine`,
-    * a :class:`~repro.storage.cluster.DistributedArchive` (an engine is
-      built over it),
+    * a :class:`~repro.storage.cluster.DistributedArchive` (a
+      distributed engine is built over it),
     * a mapping of source name -> :class:`ContainerStore` (a
       single-store engine is built),
     * an ``"archive://host:port"`` URL (a
@@ -1041,10 +1065,9 @@ class Archive:
         (one is created otherwise).  ``batch_rows`` sizes the execution
         morsels of an engine built here (over a store mapping or a raw
         ``DistributedArchive``): scans coalesce delivered containers to
-        roughly this many rows per vectorized pass (non-positive =
-        per-container evaluation).  It has no effect on backend shapes
-        that arrive with their batching already configured (a
-        pre-built engine, an ``archive://`` URL).
+        roughly this many rows per vectorized pass.  It has no effect on
+        backend shapes that arrive with their batching already
+        configured (a pre-built engine, an ``archive://`` URL).
 
         ``workers`` sets the morsel-parallel pool width of engines built
         here (``None`` = the ``REPRO_WORKERS`` environment variable,
@@ -1167,48 +1190,28 @@ class Archive:
             executor = RemotePartitionedExecutor(
                 target, batch_rows=batch_rows
             )
-        elif isinstance(target, Executor) or (
-            not isinstance(
-                target, (QueryEngine, DistributedQueryEngine, DistributedArchive, dict)
-            )
-            and hasattr(target, "prepare")
-            and hasattr(target, "kind")
-        ):
-            executor = target
-        elif isinstance(target, QueryEngine):
-            executor = LocalExecutor(target)
-        elif isinstance(target, DistributedQueryEngine):
-            executor = DistributedExecutor(target)
         elif isinstance(target, DistributedArchive):
-            executor = DistributedExecutor(
-                DistributedQueryEngine(
-                    target,
-                    density_maps=density_maps,
-                    batch_rows=batch_rows,
-                    workers=workers,
-                )
+            executor = DistributedQueryEngine(
+                target,
+                density_maps=density_maps,
+                batch_rows=batch_rows,
+                workers=workers,
             )
         elif isinstance(target, dict):
-            executor = LocalExecutor(
-                QueryEngine(
-                    target,
-                    density_maps=density_maps,
-                    batch_rows=batch_rows,
-                    workers=workers,
-                )
+            executor = QueryEngine(
+                target,
+                density_maps=density_maps,
+                batch_rows=batch_rows,
+                workers=workers,
             )
+        elif hasattr(target, "prepare") and hasattr(target, "kind"):
+            # An engine, or any other Executor-protocol object.
+            executor = target
         else:
             raise TypeError(
                 f"cannot connect to {type(target).__name__}: expected an "
                 "engine, a DistributedArchive, a store mapping, or an "
                 "Executor"
-            )
-        if scheduler is None:
-            # Inherit a scheduler the wrapped engine was already
-            # configured with, so session admissions land in the same
-            # accounting as the legacy execute() path.
-            scheduler = getattr(
-                getattr(executor, "engine", None), "scheduler", None
             )
         return _open_session(executor, scheduler)
 

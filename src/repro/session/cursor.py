@@ -1,9 +1,6 @@
 """The uniform result handle: one cursor for every backend and query class.
 
-Replaces the three inconsistent result surfaces (local
-:class:`~repro.query.engine.QueryResult` whose ``table()`` could return
-``None``, distributed results with extra report fields, scheduler jobs
-with no results at all) with a single :class:`Cursor` that
+Every backend and query class returns the same :class:`Cursor`, which
 
 * always knows its output :class:`~repro.catalog.schema.Schema` (empty
   results are well-formed empty tables),
@@ -61,23 +58,19 @@ class Cursor:
     @property
     def rows(self):
         """Rows produced so far (a live progress counter)."""
-        result = self._job._result
-        return 0 if result is None else result.rows
+        return self._job.rows
 
     @property
     def time_to_first_row(self):
-        result = self._job._result
-        return None if result is None else result.time_to_first_row
+        return self._job.time_to_first_row
 
     @property
     def time_to_completion(self):
-        result = self._job._result
-        return None if result is None else result.time_to_completion
+        return self._job.time_to_completion
 
     def node_stats(self):
         """Mapping of QET node -> :class:`~repro.query.qet.NodeStats`."""
-        result = self._job._result
-        return {} if result is None else result.node_stats()
+        return self._job.node_stats()
 
     def has_ready_batch(self):
         """True when a batch can be served without blocking — buffered
@@ -86,10 +79,8 @@ class Cursor:
         whatever exists instead of stalling for a fuller page."""
         if self._buffer:
             return True
-        result = self._job._result
-        if result is None:
-            return False
-        return result.pending_batches() > 0
+        root = self._job._root
+        return root is not None and root.output.pending() > 0
 
     def io_report(self):
         """Shared-scan I/O telemetry (see :meth:`Job.io_report`)."""
@@ -142,8 +133,7 @@ class Cursor:
         a stable, fully-populated source.
         """
         if self._underlying is None:
-            result = self._job._wait_readable()
-            self._underlying = iter(result)
+            self._underlying = self._job._wait_readable()
         if self._buffer:
             return self._buffer.popleft()
         return self._pull()

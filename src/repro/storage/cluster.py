@@ -20,9 +20,8 @@ sliced by the same :class:`PartitionMap` so a query routed to any source
 prunes servers identically.  The distributed executor
 (:class:`~repro.distributed.DistributedQueryEngine`) ships each query's
 shard sub-plan to every touched server by building scan trees directly
-over ``ServerNode.stores()``; :meth:`ServerNode.query_engine` additionally
-exposes one server's stores as a standalone single-store
-:class:`~repro.query.engine.QueryEngine` for local/ad-hoc use.
+over ``ServerNode.stores()``; ``Archive.connect(stores=server.stores())``
+queries one server's stores on their own.
 """
 
 from __future__ import annotations
@@ -86,18 +85,6 @@ class ServerNode:
         if name == self.source:
             raise ValueError(f"{name!r} is the primary source")
         self.extra_stores[name] = store
-
-    def query_engine(self, density_maps=None):
-        """Standalone single-store query engine over this server's sources.
-
-        A convenience for local/ad-hoc querying of one server (the
-        distributed executor builds its shard scans directly on
-        ``stores()``).  Built fresh on every call so it always sees the
-        current container placement — safe across repartitions.
-        """
-        from repro.query.engine import QueryEngine
-
-        return QueryEngine(self.stores(), density_maps=density_maps)
 
     def total_objects(self):
         """Objects of the primary source resident on this server."""

@@ -1,7 +1,8 @@
 """Shared fixtures: one small synthetic survey reused across the suite.
 
 Catalog generation is the slowest setup step, so the survey, its stores,
-and the query engine are session-scoped; tests treat them as read-only.
+the query engine and a session over it are session-scoped; tests treat
+them as read-only.
 Tests that need mutation or special parameters build their own.
 """
 
@@ -15,6 +16,7 @@ import pytest
 
 from repro.catalog import SkySimulator, SurveyParameters, make_tag_table
 from repro.query import QueryEngine
+from repro.session import Archive
 from repro.storage import ContainerStore
 
 #: Suite-wide per-test wall-clock bound (seconds).  Generous — the point
@@ -95,6 +97,13 @@ def tag_store(tags):
 def engine(photo_store, tag_store):
     """Query engine over the session stores."""
     return QueryEngine({"photo": photo_store, "tag": tag_store})
+
+
+@pytest.fixture(scope="session")
+def local_session(engine):
+    """Session over the single-store engine: the suite's oracle path."""
+    with Archive.connect(engine) as session:
+        yield session
 
 
 @pytest.fixture()

@@ -1,9 +1,9 @@
-"""Fixtures for the distributed executor: partitioned archives + engines.
+"""Fixtures for the distributed executor: partitioned archives + sessions.
 
 The same session catalog (see tests/conftest.py) is partitioned across
 1, 2, and 5 simulated servers, each hosting the photo store plus the
 co-partitioned tag store so tag routing works distributed.  The
-single-store ``engine`` fixture is the differential oracle.
+single-store ``local_session`` fixture is the differential oracle.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.distributed import DistributedQueryEngine
+from repro.session import Archive
 from repro.storage import DistributedArchive
 
 SERVER_COUNTS = (1, 2, 5)
@@ -38,9 +38,12 @@ def archives(make_archive):
 
 
 @pytest.fixture(scope="module")
-def dengines(archives):
-    """Distributed engines over the shared archives."""
-    return {n: DistributedQueryEngine(a) for n, a in archives.items()}
+def dsessions(archives):
+    """Sessions over distributed engines on the shared archives."""
+    sessions = {n: Archive.connect(archive=a) for n, a in archives.items()}
+    yield sessions
+    for session in sessions.values():
+        session.close()
 
 
 def _field_tolerances(dtype):

@@ -1,8 +1,8 @@
 """Differential tests: distributed == single-store, across partitionings.
 
 A corpus of representative queries (spatial, tag-routed, GROUP BY /
-HAVING, ORDER BY + LIMIT, set operations) runs through both the
-single-store :class:`QueryEngine` and the scatter-gather
+HAVING, ORDER BY + LIMIT, set operations) runs through sessions over
+both the single-store :class:`QueryEngine` and the scatter-gather
 :class:`DistributedQueryEngine` over 1-, 2-, and 5-server partitions —
 and again after ``add_servers`` repartitioning — asserting row-for-row
 equality.
@@ -11,7 +11,9 @@ equality.
 import numpy as np
 import pytest
 
-from repro.distributed import DistributedQueryEngine
+from repro.query.optimizer import plan_query, split_plan
+from repro.query.parser import parse_query
+from repro.session import Archive
 
 SERVER_COUNTS = (1, 2, 5)
 
@@ -83,9 +85,9 @@ CORPUS = [
 ]
 
 
-def _check(engine, dengine, query, mode, assert_same_rows):
-    expected = engine.query_table(query)
-    got = dengine.query_table(query)
+def _check(local, distributed, query, mode, assert_same_rows):
+    expected = local.query_table(query)
+    got = distributed.query_table(query)
     if mode == "count":
         n_expected = 0 if expected is None else len(expected)
         n_got = 0 if got is None else len(got)
@@ -97,9 +99,9 @@ def _check(engine, dengine, query, mode, assert_same_rows):
 @pytest.mark.parametrize("n_servers", SERVER_COUNTS)
 @pytest.mark.parametrize("query,mode", CORPUS)
 def test_distributed_matches_single_store(
-    engine, dengines, assert_same_rows, n_servers, query, mode
+    local_session, dsessions, assert_same_rows, n_servers, query, mode
 ):
-    _check(engine, dengines[n_servers], query, mode, assert_same_rows)
+    _check(local_session, dsessions[n_servers], query, mode, assert_same_rows)
 
 
 class TestRepartitioning:
@@ -109,16 +111,17 @@ class TestRepartitioning:
         archive = make_archive(2)
         moved = archive.add_servers(3)
         assert moved > 0
-        return DistributedQueryEngine(archive)
+        with Archive.connect(archive=archive) as session:
+            yield session
 
     @pytest.mark.parametrize("query,mode", CORPUS)
     def test_corpus_after_scale_out(
-        self, engine, scaled, assert_same_rows, query, mode
+        self, local_session, scaled, assert_same_rows, query, mode
     ):
-        _check(engine, scaled, query, mode, assert_same_rows)
+        _check(local_session, scaled, query, mode, assert_same_rows)
 
     def test_tag_containers_moved_with_photo(self, scaled):
-        archive = scaled.archive
+        archive = scaled.executor.archive
         for server in archive.servers:
             for store in server.stores().values():
                 for htm_id in store.containers:
@@ -130,59 +133,70 @@ class TestRepartitioning:
     def test_reattaching_a_source_is_rejected(self, scaled, tags):
         # A silent second attach would duplicate every tag row.
         with pytest.raises(ValueError):
-            scaled.archive.attach_source("tag", tags)
+            scaled.executor.archive.attach_source("tag", tags)
+
+
+def sharded_plan(archive, text):
+    """The shard/merge split of one SELECT over the archive's sources."""
+    return split_plan(plan_query(parse_query(text), archive.source_schemas()))
 
 
 class TestDistributedPlanning:
-    def test_tag_routing_still_applies(self, dengines):
-        sharded = dengines[5].explain(
-            "SELECT objid, mag_r FROM photo WHERE mag_r < 18"
+    def test_tag_routing_still_applies(self, archives):
+        sharded = sharded_plan(
+            archives[5], "SELECT objid, mag_r FROM photo WHERE mag_r < 18"
         )
-        assert sharded[0].base.used_tag_route
-        assert sharded[0].shard.routed_source == "tag"
+        assert sharded.base.used_tag_route
+        assert sharded.shard.routed_source == "tag"
 
-    def test_spatial_split_keeps_region_on_shard(self, dengines):
-        sharded = dengines[5].explain(
-            "SELECT objid FROM photo WHERE CIRCLE(40, 30, 5)"
+    def test_spatial_split_keeps_region_on_shard(self, archives):
+        sharded = sharded_plan(
+            archives[5], "SELECT objid FROM photo WHERE CIRCLE(40, 30, 5)"
         )
-        assert sharded[0].shard.region is not None
-        assert sharded[0].merge.kind == "stream"
+        assert sharded.shard.region is not None
+        assert sharded.merge.kind == "stream"
 
 
 class TestStreaming:
-    def test_first_batch_before_completion(self, dengines):
-        result = dengines[5].execute("SELECT objid FROM photo")
-        batches = list(result)
+    def test_first_batch_before_completion(self, dsessions):
+        job = dsessions[5].submit("SELECT objid FROM photo")
+        batches = list(job.cursor)
         assert len(batches) > 1
-        assert result.time_to_first_row < result.time_to_completion
+        assert job.time_to_first_row < job.time_to_completion
 
-    def test_cancel_does_not_deadlock(self, dengines):
-        result = dengines[5].execute("SELECT objid FROM photo")
-        iterator = iter(result)
+    def test_cancel_does_not_deadlock(self, dsessions):
+        job = dsessions[5].submit("SELECT objid FROM photo")
+        iterator = iter(job.cursor)
         next(iterator)
-        result.cancel()
+        job.cancel()
 
-    def test_report_counts_servers(self, dengines):
-        result = dengines[5].execute(
+    def test_report_counts_servers(self, dsessions):
+        job = dsessions[5].submit(
             "SELECT objid FROM photo WHERE CIRCLE(40, 30, 1)"
         )
-        result.table()
-        assert result.report.servers_total == 5
-        assert 1 <= result.report.servers_touched <= 5
-        touched = set(result.report.touched_server_ids)
-        pruned = set(result.report.pruned_server_ids)
+        job.cursor.to_table()
+        (report,) = job.reports
+        assert report.servers_total == 5
+        assert 1 <= report.servers_touched <= 5
+        touched = set(report.touched_server_ids)
+        pruned = set(report.pruned_server_ids)
         assert touched.isdisjoint(pruned)
         assert len(touched) + len(pruned) == 5
 
-    def test_per_server_engine_hosting(self, archives, engine, assert_same_rows):
+    def test_per_server_engine_hosting(
+        self, archives, local_session, assert_same_rows
+    ):
         # Each server's local engine answers its shard; the union of the
         # locally-hosted answers is the global answer.
         query = "SELECT objid FROM photo WHERE mag_r < 16"
         pieces = []
         for server in archives[5].servers:
-            local = server.query_engine().query_table(query)
+            with Archive.connect(stores=server.stores()) as session:
+                local = session.query_table(query)
             if local is not None:
                 pieces.append(np.asarray(local["objid"]))
         got = sorted(np.concatenate(pieces).tolist())
-        expected = sorted(np.asarray(engine.query_table(query)["objid"]).tolist())
+        expected = sorted(
+            np.asarray(local_session.query_table(query)["objid"]).tolist()
+        )
         assert got == expected

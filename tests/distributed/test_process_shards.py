@@ -1,7 +1,7 @@
 """Process-based shard backend: N shard servers in N OS processes.
 
-Differential against the in-process single-store oracle (the ``engine``
-fixture), plus the lifecycle contract: ``Archive.connect(...,
+Differential against the in-process single-store oracle (the
+``local_session`` fixture), plus the lifecycle contract: ``Archive.connect(...,
 process_shards=True)`` ties the cluster to the session, and closing the
 session reaps every shard process — no zombie children, no leaked
 sockets.
@@ -52,10 +52,10 @@ DIFFERENTIAL = [
 class TestDifferential:
     @pytest.mark.parametrize("query,ordered", DIFFERENTIAL)
     def test_matches_single_store_oracle(
-        self, process_session, engine, assert_same_rows, query, ordered
+        self, process_session, local_session, assert_same_rows, query, ordered
     ):
         session, _cluster = process_session
-        expected = engine.execute(query).table()
+        expected = local_session.query_table(query)
         got = _table(session, query)
         assert_same_rows(expected, got, ordered=ordered)
 

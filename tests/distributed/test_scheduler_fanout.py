@@ -9,8 +9,8 @@ freely while hash/river batch jobs still serialize.
 
 import pytest
 
-from repro.distributed import DistributedQueryEngine
 from repro.machines.scheduler import Job, MachineScheduler
+from repro.session import Archive
 
 
 class TestScanMachineNaming:
@@ -21,13 +21,13 @@ class TestScanMachineNaming:
         assert not MachineScheduler.is_scan_machine("hash")
         assert not MachineScheduler.is_scan_machine("river")
 
-    def test_legacy_scan_names_deprecated_but_recognized(self):
-        # The pre-sweep names still classify as the interactive class —
-        # existing callers keep working — but warn so they migrate.
-        with pytest.warns(DeprecationWarning):
-            assert MachineScheduler.is_scan_machine("scan")
-        with pytest.warns(DeprecationWarning):
-            assert MachineScheduler.is_scan_machine("scan:17")
+    def test_pre_sweep_scan_names_are_unknown_machines(self):
+        # The pre-sweep 'scan'/'scan:<k>' aliases are gone: they are not
+        # the interactive class, and admitting a job on one is an error.
+        assert not MachineScheduler.is_scan_machine("scan")
+        assert not MachineScheduler.is_scan_machine("scan:17")
+        with pytest.raises(ValueError):
+            MachineScheduler().admit(Job("q", "scan:17", duration=1.0))
 
     def test_per_server_sweep_jobs_overlap(self):
         scheduler = MachineScheduler()
@@ -54,15 +54,16 @@ class TestScanMachineNaming:
 
 class TestDistributedAdmission:
     @pytest.fixture()
-    def scheduled_engine(self, archives):
+    def scheduled_session(self, archives):
         scheduler = MachineScheduler()
-        return DistributedQueryEngine(archives[5], scheduler=scheduler), scheduler
+        with Archive.connect(archive=archives[5], scheduler=scheduler) as session:
+            yield session, scheduler
 
-    def test_one_job_per_touched_server(self, scheduled_engine):
-        engine, scheduler = scheduled_engine
-        result = engine.execute("SELECT objid FROM photo WHERE CIRCLE(40, 30, 2)")
-        result.table()
-        report = result.report
+    def test_one_job_per_touched_server(self, scheduled_session):
+        session, scheduler = scheduled_session
+        job = session.submit("SELECT objid FROM photo WHERE CIRCLE(40, 30, 2)")
+        job.cursor.to_table()
+        (report,) = job.reports
         machines = sorted(job.machine for job in scheduler.completed)
         assert machines == sorted(
             f"sweep:{server_id}" for server_id in report.touched_server_ids
@@ -70,16 +71,16 @@ class TestDistributedAdmission:
         for job in scheduler.completed:
             assert job.completed_at is not None
 
-    def test_full_scan_admits_every_server(self, scheduled_engine):
-        engine, scheduler = scheduled_engine
-        engine.execute("SELECT objid FROM photo").table()
-        assert len(scheduler.completed) == len(engine.archive.servers)
+    def test_full_scan_admits_every_server(self, scheduled_session):
+        session, scheduler = scheduled_session
+        session.query_table("SELECT objid FROM photo")
+        assert len(scheduler.completed) == len(session.executor.archive.servers)
 
-    def test_durations_follow_resident_bytes(self, scheduled_engine):
-        engine, scheduler = scheduled_engine
-        result = engine.execute("SELECT objid FROM photo")
-        result.table()
-        report = result.report
+    def test_durations_follow_resident_bytes(self, scheduled_session):
+        session, scheduler = scheduled_session
+        job = session.submit("SELECT objid FROM photo")
+        job.cursor.to_table()
+        (report,) = job.reports
         for job in scheduler.completed:
             server_id = int(job.machine.split(":", 1)[1])
             expected = report.simulated_seconds_per_server[server_id]

@@ -209,15 +209,17 @@ def test_run_source_fair_first_round(photo):
 
 
 @pytest.fixture(scope="module")
-def serial_engine(photo_store, tag_store):
-    return QueryEngine({"photo": photo_store, "tag": tag_store}, workers=1)
+def serial_session(photo_store, tag_store):
+    stores = {"photo": photo_store, "tag": tag_store}
+    with Archive.connect(stores=stores, workers=1) as session:
+        yield session
 
 
 @pytest.fixture(scope="module")
-def parallel_engine(photo_store, tag_store):
-    return QueryEngine(
-        {"photo": photo_store, "tag": tag_store}, workers=WORKERS
-    )
+def parallel_session(photo_store, tag_store):
+    stores = {"photo": photo_store, "tag": tag_store}
+    with Archive.connect(stores=stores, workers=WORKERS) as session:
+        yield session
 
 
 def _positionally_equal(expected, got, float_tol=False):
@@ -248,32 +250,32 @@ DIFFERENTIAL_QUERIES = [
 
 @pytest.mark.parametrize("query", DIFFERENTIAL_QUERIES)
 def test_parallel_rows_match_serial_row_for_row(
-    serial_engine, parallel_engine, query
+    serial_session, parallel_session, query
 ):
-    expected = serial_engine.execute(query).table()
-    got = parallel_engine.execute(query).table()
+    expected = serial_session.query_table(query)
+    got = parallel_session.query_table(query)
     _positionally_equal(expected, got)
 
 
-def test_parallel_aggregate_matches_serial(serial_engine, parallel_engine):
+def test_parallel_aggregate_matches_serial(serial_session, parallel_session):
     query = (
         "SELECT objtype, COUNT(objid) AS n, AVG(mag_r) AS m, MIN(mag_g) AS lo,"
         " MAX(mag_g) AS hi FROM photo GROUP BY objtype ORDER BY objtype"
     )
-    expected = serial_engine.execute(query).table()
-    got = parallel_engine.execute(query).table()
+    expected = serial_session.query_table(query)
+    got = parallel_session.query_table(query)
     # Partial-aggregate merge changes the float summation order only.
     _positionally_equal(expected, got, float_tol=True)
 
 
 def test_parallel_scan_batches_stream_in_sweep_order(
-    serial_engine, parallel_engine
+    serial_session, parallel_session
 ):
     """Not just the final table: the *stream* of batches concatenates to
     the identical row order (the SequencedEmitter contract)."""
     query = "SELECT objid FROM photo WHERE mag_r < 21"
-    serial = [b for b in serial_engine.execute(query) if len(b)]
-    parallel = [b for b in parallel_engine.execute(query) if len(b)]
+    serial = [b for b in serial_session.execute(query) if len(b)]
+    parallel = [b for b in parallel_session.execute(query) if len(b)]
     a = np.concatenate([b["objid"] for b in serial])
     b = np.concatenate([b["objid"] for b in parallel])
     np.testing.assert_array_equal(a, b)
@@ -284,31 +286,31 @@ def test_parallel_scan_batches_stream_in_sweep_order(
 # ----------------------------------------------------------------------
 
 
-def test_worker_utilization_counter_gates(parallel_engine):
+def test_worker_utilization_counter_gates(parallel_session):
     """The CI-gated evidence that workers=K actually engages K workers:
     the fair first round makes ``min(worker_items) >= 1`` an invariant
     (3607 containers -> ~113 delivery runs >> K), not a wall clock."""
-    with Archive.connect(parallel_engine) as session:
-        job = session.submit("SELECT objid, mag_r FROM photo WHERE mag_r < 20")
-        job.cursor.to_table()
-        counters = job.io_counters()
-        assert counters["workers_configured"] == WORKERS
-        items = counters["worker_items"]
-        assert len(items) == WORKERS
-        assert min(items) >= 1, f"idle worker despite fair round: {items}"
-        report = job.io_report()["workers"]
-        assert report["configured"] == WORKERS
-        assert report["active"] == WORKERS
-        assert report["work_items"] == sum(items)
-        assert report["utilization"] == 1.0
+    job = parallel_session.submit(
+        "SELECT objid, mag_r FROM photo WHERE mag_r < 20"
+    )
+    job.cursor.to_table()
+    counters = job.io_counters()
+    assert counters["workers_configured"] == WORKERS
+    items = counters["worker_items"]
+    assert len(items) == WORKERS
+    assert min(items) >= 1, f"idle worker despite fair round: {items}"
+    report = job.io_report()["workers"]
+    assert report["configured"] == WORKERS
+    assert report["active"] == WORKERS
+    assert report["work_items"] == sum(items)
+    assert report["utilization"] == 1.0
 
 
-def test_serial_engine_reports_no_worker_pool(serial_engine):
-    with Archive.connect(serial_engine) as session:
-        job = session.submit("SELECT objid FROM photo WHERE mag_r < 20")
-        job.cursor.to_table()
-        assert job.io_counters()["workers_configured"] == 0
-        assert job.io_report()["workers"] is None
+def test_serial_engine_reports_no_worker_pool(serial_session):
+    job = serial_session.submit("SELECT objid FROM photo WHERE mag_r < 20")
+    job.cursor.to_table()
+    assert job.io_counters()["workers_configured"] == 0
+    assert job.io_report()["workers"] is None
 
 
 # ----------------------------------------------------------------------

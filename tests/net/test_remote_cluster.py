@@ -8,10 +8,13 @@ engine row for row — merges, partial aggregates, set operations and HTM
 endpoint pruning included.
 """
 
+import socket
+
 import pytest
 
 from repro.distributed.routing import route_plan
 from repro.net import ArchiveServer, RemotePartitionedExecutor
+from repro.net.protocol import recv_frame, send_frame
 from repro.query.optimizer import plan_query, shard_candidates
 from repro.query.parser import parse_query
 from repro.session import Archive
@@ -75,9 +78,9 @@ def cluster_session(shard_servers):
 
 @pytest.mark.parametrize("query,mode", CLUSTER_CORPUS)
 def test_cluster_agrees_with_local(
-    engine, cluster_session, same_rows, query, mode
+    local_session, cluster_session, same_rows, query, mode
 ):
-    expected = engine.query_table(query)
+    expected = local_session.query_table(query)
     got = cluster_session.query_table(query)
     same_rows(expected, got, ordered=(mode == "ordered"))
 
@@ -88,7 +91,7 @@ def test_cluster_agrees_with_local(
 
 
 def test_cluster_prunes_endpoints_conservatively(
-    cluster_session, partitioned_archive, engine
+    cluster_session, partitioned_archive, engine, local_session
 ):
     """A spatially-selective query skips endpoints whose advertised
     container ranges miss the cover — and never one the in-process
@@ -115,7 +118,7 @@ def test_cluster_prunes_endpoints_conservatively(
     }
     # Correctness despite pruning: the cone's rows are complete.
     assert len(cluster_session.query_table(query)) == len(
-        engine.query_table(query)
+        local_session.query_table(query)
     )
 
 
@@ -138,6 +141,21 @@ def test_cluster_rejects_non_shard_endpoints(partitioned_archive):
     with ArchiveServer(archive=partitioned_archive) as server:
         with pytest.raises(ValueError, match="shard-mode"):
             RemotePartitionedExecutor([server.url])
+
+
+def test_distributed_server_refuses_shard_submissions(partitioned_archive):
+    """A raw shard-mode submit to a distributed-backend server gets a
+    structured error frame, not a half-built shard tree."""
+    with ArchiveServer(archive=partitioned_archive) as server:
+        with socket.create_connection(server.address, timeout=10) as sock:
+            send_frame(
+                sock,
+                {"op": "submit", "text": "SELECT objid FROM photo", "mode": "shard"},
+            )
+            header, _body = recv_frame(sock)
+    assert header["op"] == "error"
+    assert header["error_class"] == "SessionError"
+    assert "shard-mode" in header["message"]
 
 
 def test_cluster_survives_scale_mismatch_probe(shard_servers):

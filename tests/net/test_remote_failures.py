@@ -10,9 +10,11 @@ The contract under test:
 * two remote clients scanning one store share a single sweep: physical
   reads stay ~1 store pass (the PR 3 read-amplification win must
   survive the network hop);
-* connecting to a dead endpoint fails fast.
+* connecting to a dead endpoint fails fast;
+* ``stop()`` racing the accept loop never joins an unstarted thread.
 """
 
+import socket
 import threading
 import time
 
@@ -79,6 +81,49 @@ class TestServerDeath:
             session.submit("SELECT objid FROM photo")
         assert time.perf_counter() - started < 30.0
         session.close()
+
+
+class TestStopRacingAccept:
+    def test_stop_between_accept_and_thread_start(self, photo, monkeypatch):
+        """A ``stop()`` that lands while the accept loop is handing a
+        fresh connection to its thread must not join that thread before
+        it starts (``RuntimeError: cannot join thread before it is
+        started``).  The connection thread's ``start`` runs a concurrent
+        ``stop()`` first and gives it up to half a second, which holds
+        the race window open as wide as it can go."""
+        server = ArchiveServer(
+            stores={"photo": ContainerStore.from_table(photo, depth=2)}
+        ).start()
+        real_thread = threading.Thread
+        stoppers = []
+        stop_errors = []
+
+        def stop_server():
+            try:
+                server.stop()
+            except Exception as exc:  # the race surfaces here
+                stop_errors.append(exc)
+
+        class StopFirstThread(real_thread):
+            def start(self):
+                if getattr(self._target, "__name__", "") == "_serve_connection":
+                    stopper = real_thread(target=stop_server, daemon=True)
+                    stoppers.append(stopper)
+                    stopper.start()
+                    stopper.join(timeout=0.5)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", StopFirstThread)
+        client = socket.create_connection(server.address, timeout=JOIN_TIMEOUT)
+        try:
+            assert _wait_until(lambda: stoppers)
+            stoppers[0].join(timeout=JOIN_TIMEOUT)
+            assert not stoppers[0].is_alive(), "stop() hung"
+        finally:
+            monkeypatch.undo()
+            client.close()
+            server.stop()
+        assert stop_errors == []
 
 
 class TestRemoteCancel:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.distributed import DistributedQueryEngine
 from repro.session import Archive
 from repro.storage import DistributedArchive
 
@@ -25,12 +24,6 @@ def dist_archive(photo, tags):
 
 
 @pytest.fixture(scope="module")
-def dengine(dist_archive):
-    """Distributed engine over the shared 3-server archive."""
-    return DistributedQueryEngine(dist_archive)
-
-
-@pytest.fixture(scope="module")
 def local_session(engine):
     """Session over the single-store engine."""
     with Archive.connect(engine) as session:
@@ -38,9 +31,9 @@ def local_session(engine):
 
 
 @pytest.fixture(scope="module")
-def dist_session(dengine):
-    """Session over the distributed engine."""
-    with Archive.connect(dengine) as session:
+def dist_session(dist_archive):
+    """Session over a distributed engine on the shared 3-server archive."""
+    with Archive.connect(archive=dist_archive) as session:
         yield session
 
 

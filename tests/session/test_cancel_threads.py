@@ -25,45 +25,13 @@ CANCEL_QUERIES = [
 JOIN_TIMEOUT = 5.0
 
 
-def _assert_no_orphans(result):
+def _assert_no_orphans(job):
     started = time.perf_counter()
-    result.join(JOIN_TIMEOUT)
+    job.join(JOIN_TIMEOUT)
     elapsed = time.perf_counter() - started
-    alive = result.alive_nodes()
+    alive = job.alive_nodes()
     assert alive == [], f"threads still alive after cancel+join: {alive}"
     assert elapsed < JOIN_TIMEOUT, "join hit its timeout — cancel was not prompt"
-
-
-class TestEngineLevelCancel:
-    """The legacy entry points get the same guarantee."""
-
-    @pytest.mark.parametrize("query", CANCEL_QUERIES)
-    def test_local_cancel_mid_stream(self, engine, query):
-        result = engine.execute(query)
-        iterator = iter(result)
-        next(iterator, None)  # consume at most one batch, then abandon
-        result.cancel()
-        _assert_no_orphans(result)
-
-    @pytest.mark.parametrize("query", CANCEL_QUERIES)
-    def test_local_cancel_immediately(self, engine, query):
-        result = engine.execute(query)
-        result.cancel()
-        _assert_no_orphans(result)
-
-    @pytest.mark.parametrize("query", CANCEL_QUERIES)
-    def test_distributed_cancel_mid_stream(self, dengine, query):
-        result = dengine.execute(query)
-        iterator = iter(result)
-        next(iterator, None)
-        result.cancel()
-        _assert_no_orphans(result)
-
-    @pytest.mark.parametrize("query", CANCEL_QUERIES)
-    def test_distributed_cancel_immediately(self, dengine, query):
-        result = dengine.execute(query)
-        result.cancel()
-        _assert_no_orphans(result)
 
 
 class TestJobLevelCancel:
@@ -71,11 +39,16 @@ class TestJobLevelCancel:
     def test_local_job_cancel(self, local_session, query):
         job = local_session.submit(query)
         iterator = iter(job.cursor)
-        next(iterator, None)
+        next(iterator, None)  # consume at most one batch, then abandon
         job.cancel()
-        job.join(JOIN_TIMEOUT)
-        assert job.alive_nodes() == []
+        _assert_no_orphans(job)
         assert job.state.value == "cancelled"
+
+    @pytest.mark.parametrize("query", CANCEL_QUERIES)
+    def test_local_job_cancel_immediately(self, local_session, query):
+        job = local_session.submit(query)
+        job.cancel()
+        _assert_no_orphans(job)
 
     @pytest.mark.parametrize("query", CANCEL_QUERIES)
     def test_distributed_job_cancel(self, dist_session, query):
@@ -83,9 +56,14 @@ class TestJobLevelCancel:
         iterator = iter(job.cursor)
         next(iterator, None)
         job.cancel()
-        job.join(JOIN_TIMEOUT)
-        assert job.alive_nodes() == []
+        _assert_no_orphans(job)
         assert job.state.value == "cancelled"
+
+    @pytest.mark.parametrize("query", CANCEL_QUERIES)
+    def test_distributed_job_cancel_immediately(self, dist_session, query):
+        job = dist_session.submit(query)
+        job.cancel()
+        _assert_no_orphans(job)
 
     def test_cancelled_rows_remain_readable(self, dist_session):
         job = dist_session.submit("SELECT objid FROM photo")

@@ -165,11 +165,11 @@ class TestBatchQueueing:
             assert len(table) == 90
             assert job.state is JobState.DONE
 
-    def test_batch_results_delivered_on_completion(self, local_session, engine):
+    def test_batch_results_delivered_on_completion(self, local_session):
         query = "SELECT objtype, COUNT(objid) AS n FROM photo GROUP BY objtype"
         job = local_session.submit(query, query_class="batch")
         assert job.wait(timeout=10) is JobState.DONE
-        expected = engine.query_table(query)
+        expected = local_session.query_table(query)
         got = job.cursor.to_table()
         assert got.data.tolist() == expected.data.tolist()
 
@@ -207,8 +207,8 @@ class TestSubmissionValidation:
 
 
 class TestSchedulerAccounting:
-    def test_interactive_admits_sweep_jobs_per_server(self, dengine):
-        with Archive.connect(dengine) as session:
+    def test_interactive_admits_sweep_jobs_per_server(self, dist_archive):
+        with Archive.connect(archive=dist_archive) as session:
             job = session.submit("SELECT objid FROM photo WHERE mag_r < 17")
             job.cursor.to_table()
             machines = {mj.machine for mj in job.machine_jobs}

@@ -3,9 +3,8 @@
 The tentpole contract:
 
 * answers are **batch-size invariant** — the same corpus row-for-row at
-  per-container evaluation (``batch_rows<=0``) and at any coalescing
-  target, including region queries whose partial trixels need the exact
-  geometric test;
+  one-row morsels and at any larger coalescing target, including region
+  queries whose partial trixels need the exact geometric test;
 * the coalescing win is **deterministically measurable** — a full scan
   performs at most ``ceil(rows / batch_rows) + 1`` vectorized predicate
   evaluations instead of one per container (no wall clocks involved, so
@@ -52,7 +51,7 @@ CORPUS = [
     ),
 ]
 
-BATCH_SIZES = [0, 256, 4096, 65536]  # 0 = per-container (no coalescing)
+BATCH_SIZES = [1, 256, 4096, 65536]  # 1 = the finest morsels
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +79,7 @@ class TestBatchSizeInvariance:
     def test_unordered_scan_order_is_invariant_too(self, sessions):
         """Even raw emission order is the sweep's delivery order, so the
         unsorted stream is positionally identical at every batch size."""
-        baseline = sessions[0].query_table("SELECT objid FROM photo")
+        baseline = sessions[BATCH_SIZES[0]].query_table("SELECT objid FROM photo")
         for rows in BATCH_SIZES[1:]:
             got = sessions[rows].query_table("SELECT objid FROM photo")
             assert np.array_equal(baseline["objid"], got["objid"])
@@ -129,16 +128,15 @@ class TestCounterPerfGate:
         # and the bound is meaningful: far fewer passes than containers
         assert scan.predicate_evals < n_containers
 
-    def test_per_container_mode_matches_container_count(self, photo_store, photo):
-        """batch_rows<=0 is the pre-morsel behavior: one evaluation per
-        delivered non-empty container."""
+    @pytest.mark.parametrize("batch_rows", [0, -1])
+    def test_non_positive_batch_rows_is_rejected(self, photo_store, batch_rows):
+        """There is no per-container mode: a non-positive morsel target
+        is a configuration error."""
         with Archive.connect(
-            stores={"photo": photo_store}, batch_rows=0
+            stores={"photo": photo_store}, batch_rows=batch_rows
         ) as session:
-            job = session.submit("SELECT objid FROM photo")
-            job.cursor.to_table()
-            (scan,) = _scan_stats(job)
-        assert scan.predicate_evals == len(photo_store.containers)
+            with pytest.raises(ValueError, match="batch_rows"):
+                session.submit("SELECT objid FROM photo")
 
     def test_region_query_counts_stay_bounded(self, photo_store):
         """A cone over the small test catalog buffers well under one

@@ -1,10 +1,10 @@
 """The session differential corpus — the acceptance gate of the API.
 
-One corpus of representative queries runs through every entry point —
-the legacy single-store :class:`QueryEngine`, the legacy
-:class:`DistributedQueryEngine`, and the :class:`Session` facade over
-both backends in *both* query classes (interactive streaming and
-batch-queued) — asserting row-for-row identical results.  Every query
+One corpus of representative queries runs through the :class:`Session`
+facade over both executors — the single-store :class:`QueryEngine` and
+the scatter-gather :class:`DistributedQueryEngine` — in *both* query
+classes (interactive streaming and batch-queued), asserting row-for-row
+identical results.  Every query
 must also explain to a non-empty structured plan tree on both backends.
 """
 
@@ -83,17 +83,13 @@ def _compare(expected, got, mode, same_rows):
 
 @pytest.mark.parametrize("query,mode", CORPUS)
 def test_all_entry_points_agree(
-    engine, dengine, local_session, dist_session, same_rows, query, mode
+    local_session, dist_session, same_rows, query, mode
 ):
-    """QueryEngine == DistributedQueryEngine == Session over both
-    backends in both query classes, row for row."""
-    expected = engine.query_table(query)
+    """Sessions over QueryEngine == DistributedQueryEngine in both query
+    classes, row for row."""
+    expected = local_session.query_table(query)
 
-    # Legacy distributed entry point.
-    _compare(expected, dengine.query_table(query), mode, same_rows)
-
-    # Session facade, interactive class, both backends.
-    _compare(expected, local_session.query_table(query), mode, same_rows)
+    # Interactive class, distributed backend.
     _compare(expected, dist_session.query_table(query), mode, same_rows)
 
     # Session facade, batch class, both backends: queued through the

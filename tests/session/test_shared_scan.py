@@ -29,7 +29,7 @@ def fresh_store(photo):
 
 
 def _scan_node(job):
-    for node in job._result._root.walk():
+    for node in job.node_stats():
         if isinstance(node, ScanNode):
             return node
     raise AssertionError("job has no scan node")
